@@ -71,10 +71,8 @@ def cmd_fit(args) -> int:
         observed=observed,
         model_template=model,
         fit_density=cfg.fit_density,
-        init=cfg.fit_init_pops(),
         init_density=cfg.fit_init_density,
         max_iterations=cfg.fit_max_iterations,
-        multistart=cfg.fit_multistart,
     )
     result = fit_populations(problem)
     p = result.pops.as_array()

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .bloch import DecayModel, LaserField
 from .levels import D1_WAVELENGTH_NM, Manifold, build_level_scheme
 from .pumping import DEFAULT_PUMP_DURATION_MS, PumpConfig
-from .spectrum import ExperimentModel, PopulationDistribution
+from .spectrum import ExperimentModel
 
 
 class ConfigError(ValueError):
@@ -33,10 +33,8 @@ class RunConfig:
     scan_stop: float = 80.0
     scan_step: float = 1.0
     # fit
-    fit_init: tuple = (1 / 3, 1 / 3, 1 / 3)
     fit_init_density: float = None
     fit_density: bool = True
-    fit_multistart: bool = True
     fit_max_iterations: int = 200
     # pump
     pump_polarization: int = -1
@@ -67,8 +65,6 @@ class RunConfig:
         check(self.scan_step > 0, "scan.step", self.scan_step)
         check(self.scan_start < self.scan_stop, "scan.start", self.scan_start)
         check(self.fit_max_iterations > 0, "fit.max_iterations", self.fit_max_iterations)
-        check(len(self.fit_init) == 3 and abs(sum(self.fit_init) - 1) < 1e-6
-              and min(self.fit_init) >= 0, "fit.init", self.fit_init)
         check(1e9 <= self.fit_init_density <= 1e13, "fit.init_density", self.fit_init_density)
         check(self.pump_polarization in (-1, 0, 1), "pump.polarization", self.pump_polarization)
         check(self.pump_power >= 0, "pump.power", self.pump_power)
@@ -93,16 +89,14 @@ class RunConfig:
     def scan_grid(self):
         import numpy as np
 
-        n = int(round((self.scan_stop - self.scan_start) / self.scan_step)) + 1
+        # the last point never passes stop; the slack absorbs rounding in
+        # a step that divides the span, such as 160 / (n - 1)
+        n = int(np.floor((self.scan_stop - self.scan_start) / self.scan_step + 1e-9)) + 1
         return self.scan_start + self.scan_step * np.arange(n)
 
     def pump_config(self) -> PumpConfig:
         return PumpConfig(self.pump_polarization, self.pump_power,
                           self.pump_beam_diameter, self.pump_duration)
-
-    def fit_init_pops(self) -> PopulationDistribution:
-        total = sum(self.fit_init)
-        return PopulationDistribution(*(p / total for p in self.fit_init))
 
 
 _FIELD_MAP = {
@@ -118,10 +112,8 @@ _FIELD_MAP = {
     ("scan", "start"): ("scan_start", float),
     ("scan", "stop"): ("scan_stop", float),
     ("scan", "step"): ("scan_step", float),
-    ("fit", "init"): ("fit_init", "triple"),
     ("fit", "init_density"): ("fit_init_density", float),
     ("fit", "density"): ("fit_density", "bool"),
-    ("fit", "multistart"): ("fit_multistart", "bool"),
     ("fit", "max_iterations"): ("fit_max_iterations", int),
     ("pump", "polarization"): ("pump_polarization", int),
     ("pump", "power"): ("pump_power", float),
@@ -146,11 +138,6 @@ def _convert(kind, raw, where):
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind == "triple":
-            parts = [float(x) for x in raw.replace(",", " ").split()]
-            if len(parts) != 3:
-                raise ValueError(raw)
-            return tuple(parts)
     except ValueError:
         raise ConfigError(f"cannot parse value for {where}: {raw!r}") from None
     raise AssertionError(kind)

@@ -1,23 +1,38 @@
-"""Population / density inversion by damped Gauss-Newton least squares.
+"""Population / density inversion on the model's linear basis.
 
-The three ground populations are parameterized on the simplex through a
-softmax map of an unconstrained 2-vector (third logit pinned to 0), and
-the density through a log-sigmoid map into its bounds, so every iterate
-is feasible by construction.  The Jacobian is central finite differences
-in the transformed coordinates.
+The susceptibility is linear in w = n_F1 * P, so T = exp(-B x), with
+x = w / init_density >= 0 and B the per-sublevel optical depth at init_density
+(`spectrum.optical_depth_basis`, built once per fit).  One solver serves every
+fit and profile point: a damped Gauss-Newton with the analytic Jacobian
+J = -T B on {x >= 0, lo <= sum(x) <= hi}, each step minimising the damped
+linearised cost over that set exactly.  It starts from the same bounded least
+squares on -ln T, so there is no start list or initial guess (the `fit.init`
+and `fit.multistart` config keys are removed).  Fixed-density fits and density
+profiles pin sum(x); population profiles fit two weights u through w = A u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
-from .spectrum import ExperimentModel, PopulationDistribution, Spectrum, synth_spectrum
+from .spectrum import (
+    ExperimentModel,
+    PopulationDistribution,
+    Spectrum,
+    optical_depth_basis,
+    synth_spectrum,
+)
 
-FD_STEP = 1e-6
 STEP_TOL = 1e-10
 RESIDUAL_DECREASE_TOL = 1e-12
+MIN_DAMPING = 1e-12
+MAX_DAMPING_TRIES = 40
+DIAG_FLOOR = 1e-12
+# -ln T of a point below this transmission is dominated by noise
+WARM_START_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -25,19 +40,17 @@ class FitProblem:
     observed: Spectrum
     model_template: ExperimentModel   # non-fitted parameters fixed
     fit_density: bool = True
-    init: PopulationDistribution = None
-    init_density: float = None
+    init_density: float = None        # the fixed density, or the density scale of a free fit
     density_bounds: tuple = (1e9, 1e13)  # cm^-3
     max_iterations: int = 200
-    multistart: bool = True
 
     def __post_init__(self):
         if len(self.observed) == 0:
             raise ValueError("observed spectrum is empty")
-        if self.init is None:
-            object.__setattr__(self, "init", PopulationDistribution(1 / 3, 1 / 3, 1 / 3))
         if self.init_density is None:
             object.__setattr__(self, "init_density", self.model_template.n_f1)
+        if not self.init_density > 0:
+            raise ValueError("init_density must be > 0")
         lo, hi = self.density_bounds
         if not (0 < lo < hi):
             raise ValueError("invalid density bounds")
@@ -53,135 +66,119 @@ class FitResult:
     jacobian_condition: float
 
 
-def _model_with_density(template: ExperimentModel, n_f1: float) -> ExperimentModel:
-    return replace(template, n_f1=n_f1)
-
-
 def residuals(problem: FitProblem, pops: PopulationDistribution, n_f1: float) -> np.ndarray:
     """Model transmission minus observed transmission on the observed grid."""
-    model = _model_with_density(problem.model_template, n_f1)
+    model = replace(problem.model_template, n_f1=n_f1)
     synth = synth_spectrum(model, pops, problem.observed.detunings)
     return synth.transmission - problem.observed.transmission
 
 
-def _softmax3(u1: float, u2: float) -> np.ndarray:
-    z = np.array([u1, u2, 0.0])
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _bounded_lsq(gram: np.ndarray, rhs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """argmin y'Gy - 2 rhs'y over {y >= 0, lo <= sum(y) <= hi}, G positive definite.
 
-
-def _logits(p: np.ndarray) -> tuple:
-    p = np.clip(p, 1e-12, None)
-    return (np.log(p[0] / p[2]), np.log(p[1] / p[2]))
-
-
-def _density_from_v(v: float, lo: float, hi: float) -> float:
-    s = 1.0 / (1.0 + np.exp(-v))
-    return float(np.exp(np.log(lo) + s * (np.log(hi) - np.log(lo))))
-
-
-def _v_from_density(n: float, lo: float, hi: float) -> float:
-    n = min(max(n, lo * (1 + 1e-12)), hi * (1 - 1e-12))
-    s = (np.log(n) - np.log(lo)) / (np.log(hi) - np.log(lo))
-    s = min(max(s, 1e-12), 1 - 1e-12)
-    return float(np.log(s / (1 - s)))
-
-
-def _gauss_newton(fun, x0: np.ndarray, max_iter: int):
-    """Damped (Levenberg-style) Gauss-Newton with central-difference Jacobian.
-
-    Accepted steps never increase the residual norm.  Returns
-    (x, residual_vector, iterations, converged, jacobian_condition).
+    The minimiser with support S also minimises over {supp(y) = S,
+    lo <= sum(y) <= hi} with no sign constraint, where the sum is that of the
+    unconstrained minimiser clipped to [lo, hi].  So the best sign-feasible
+    candidate over all supports (at most 7 for 3 unknowns) is exact.
     """
-    x = np.asarray(x0, dtype=float)
-    r = fun(x)
+    k = rhs.size
+    best, best_value = (np.zeros(k), 0.0) if lo <= 0 else (None, np.inf)
+    for size in range(1, k + 1):
+        for support in combinations(range(k), size):
+            s = list(support)
+            free, along_sum = np.linalg.solve(
+                gram[np.ix_(s, s)], np.column_stack([rhs[s], np.ones(size)])).T
+            excess = free.sum() - min(max(free.sum(), lo), hi)
+            ys = free - excess / along_sum.sum() * along_sum
+            if ys.min() < 0:
+                continue
+            y = np.zeros(k)
+            y[s] = ys
+            value = y @ gram @ y - 2.0 * rhs @ y
+            if value < best_value:
+                best, best_value = y, value
+    return best
+
+
+def _damped(jac: np.ndarray, target: np.ndarray, lam: float, center: np.ndarray):
+    """Gram matrix and right-hand side of |J y - target|^2 + lam |D (y - center)|^2,
+    D^2 the diagonal of J'J with a floor."""
+    gram = jac.T @ jac
+    d = lam * np.maximum(np.diag(gram), DIAG_FLOOR)
+    return gram + np.diag(d), jac.T @ target + d * center
+
+
+def _solve(basis: np.ndarray, observed: np.ndarray, lo: float, hi: float, max_iter: int):
+    """Fit exp(-basis @ x) to observed on {x >= 0, lo <= sum(x) <= hi}.
+
+    Damped Gauss-Newton from the -ln T start; accepted steps never increase
+    the residual norm.  Returns (x, residual_vector, iterations, converged).
+    """
+    k = basis.shape[1]
+    keep = observed > WARM_START_FLOOR
+    if keep.any():
+        weight = observed[keep]
+        x = _bounded_lsq(*_damped(weight[:, None] * basis[keep], -weight * np.log(weight),
+                                  MIN_DAMPING, np.zeros(k)), lo, hi)
+    else:
+        x = np.full(k, min(max(1.0, lo), hi) / k)
+    t = np.exp(-basis @ x)
+    r = t - observed
     cost = float(r @ r)
     lam = 1e-3
-    converged = False
-    cond = np.inf
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        jac = np.empty((r.size, x.size))
-        for k in range(x.size):
-            dx = np.zeros_like(x)
-            dx[k] = FD_STEP
-            jac[:, k] = (fun(x + dx) - fun(x - dx)) / (2 * FD_STEP)
-        cond = np.linalg.cond(jac) if np.any(jac) else np.inf
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12)), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            r_new = fun(x + step)
+    for iteration in range(1, max_iter + 1):
+        jac = -t[:, None] * basis
+        for _ in range(MAX_DAMPING_TRIES):
+            y = _bounded_lsq(*_damped(jac, jac @ x - r, lam, x), lo, hi)
+            if np.linalg.norm(y - x) < STEP_TOL:
+                return x, r, iteration, True
+            t_new = np.exp(-basis @ y)
+            r_new = t_new - observed
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
-                accepted = True
                 break
             lam *= 10
-        if not accepted:
-            break
-        x = x + step
+        else:
+            return x, r, iteration, False
         decrease = cost - cost_new
-        r, cost = r_new, cost_new
-        lam = max(lam / 10, 1e-12)
-        if np.linalg.norm(step) < STEP_TOL or decrease < RESIDUAL_DECREASE_TOL:
-            converged = True
-            break
-    return x, r, iters, converged, cond
+        x, t, r, cost = y, t_new, r_new, cost_new
+        lam = max(lam / 10, MIN_DAMPING)
+        if decrease < RESIDUAL_DECREASE_TOL:
+            return x, r, iteration, True
+    return x, r, max_iter, False
 
 
-def _starts(problem: FitProblem):
-    if not problem.multistart:
-        return [problem.init.as_array()]
-    soft = 0.9, 0.05, 0.05
-    return [
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-        np.array([soft[0], soft[1], soft[2]]),
-        np.array([soft[1], soft[0], soft[2]]),
-        np.array([soft[1], soft[2], soft[0]]),
-    ]
+def _basis(problem: FitProblem) -> np.ndarray:
+    model = replace(problem.model_template, n_f1=problem.init_density)
+    return optical_depth_basis(model, problem.observed.detunings)
+
+
+def _sum_bounds(problem: FitProblem) -> tuple:
+    if not problem.fit_density:
+        return 1.0, 1.0
+    lo, hi = problem.density_bounds
+    return lo / problem.init_density, hi / problem.init_density
 
 
 def fit_populations(problem: FitProblem) -> FitResult:
     """Least-squares inversion of the observed spectrum for populations
-    (and optionally density).  Deterministic: multi-starts are fixed and
-    ties within 1e-12 residual go to the lowest-index start."""
-    lo, hi = problem.density_bounds
-
-    def make_fun():
-        def fun(x):
-            p = _softmax3(x[0], x[1])
-            n = _density_from_v(x[2], lo, hi) if problem.fit_density else problem.init_density
-            return residuals(problem, PopulationDistribution(*p), n)
-        return fun
-
-    fun = make_fun()
-    best = None
-    for idx, p0 in enumerate(_starts(problem)):
-        u1, u2 = _logits(p0)
-        x0 = [u1, u2]
-        if problem.fit_density:
-            x0.append(_v_from_density(problem.init_density, lo, hi))
-        x, r, iters, converged, cond = _gauss_newton(fun, np.array(x0), problem.max_iterations)
-        cost = float(r @ r)
-        if best is None or cost < best[0] - 1e-12:
-            best = (cost, idx, x, r, iters, converged, cond)
-
-    cost, _idx, x, r, iters, converged, cond = best
-    p = _softmax3(x[0], x[1])
-    n = _density_from_v(x[2], lo, hi) if problem.fit_density else problem.init_density
+    (and optionally density).  Deterministic: one start, computed from the data."""
+    basis = _basis(problem)
+    x, _r, iterations, converged = _solve(basis, problem.observed.transmission,
+                                          *_sum_bounds(problem), problem.max_iterations)
+    pops = PopulationDistribution(*(x / x.sum()))
+    n = problem.init_density
+    if problem.fit_density:
+        n = float(np.clip(n * x.sum(), *problem.density_bounds))
+    r = residuals(problem, pops, n)
+    jac = np.exp(-basis @ x)[:, None] * basis
     return FitResult(
-        pops=PopulationDistribution(*p),
+        pops=pops,
         n_f1=n,
-        residual_rms=float(np.sqrt(cost / r.size)),
-        iterations=iters,
+        residual_rms=float(np.sqrt((r @ r) / r.size)),
+        iterations=iterations,
         converged=converged,
-        jacobian_condition=float(cond),
+        jacobian_condition=float(np.linalg.cond(jac)),
     )
 
 
@@ -195,6 +192,14 @@ class ProfilePoint:
 PROFILE_PARAMS = ("p_minus", "p_zero", "p_plus", "n_f1")
 
 
+def _pinned_population_map(pos: int, value: float) -> np.ndarray:
+    """3x2 map u -> w with P_pos = value and sum(w) = sum(u)."""
+    a = np.zeros((3, 2))
+    a[pos] = value
+    a[[i for i in range(3) if i != pos], [0, 1]] = 1.0 - value
+    return a
+
+
 def profile_scan(problem: FitProblem, param: str, grid) -> list:
     """Residual profile over one parameter, refitting the others per point."""
     if param not in PROFILE_PARAMS:
@@ -202,32 +207,19 @@ def profile_scan(problem: FitProblem, param: str, grid) -> list:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("profile grid is empty")
-    lo, hi = problem.density_bounds
-    pos = {"p_minus": 0, "p_zero": 1, "p_plus": 2}.get(param)
+    upper = np.inf if param == "n_f1" else 1.0
+    if not (np.all(grid >= 0) and np.all(grid <= upper)):
+        raise ValueError(f"profile values for {param} outside [0, {upper}]")
+    basis = _basis(problem)
+    lo, hi = _sum_bounds(problem)
     out = []
     for value in grid:
         if param == "n_f1":
-            def fun(x, value=value):
-                p = _softmax3(x[0], x[1])
-                return residuals(problem, PopulationDistribution(*p), value)
-            x0 = np.array(_logits(problem.init.as_array()))
+            mapped, bounds = basis, (value / problem.init_density,) * 2
         else:
-            rest = 1.0 - value
-
-            def fun(x, value=value, rest=rest):
-                w = 1.0 / (1.0 + np.exp(-x[0]))
-                p = np.empty(3)
-                p[pos] = value
-                others = [i for i in range(3) if i != pos]
-                p[others[0]] = rest * w
-                p[others[1]] = rest * (1.0 - w)
-                n = _density_from_v(x[1], lo, hi) if problem.fit_density else problem.init_density
-                return residuals(problem, PopulationDistribution(*p), n)
-
-            x0 = [0.0]
-            if problem.fit_density:
-                x0.append(_v_from_density(problem.init_density, lo, hi))
-            x0 = np.array(x0)
-        _x, r, _iters, converged, _cond = _gauss_newton(fun, x0, problem.max_iterations)
+            mapped = basis @ _pinned_population_map(PROFILE_PARAMS.index(param), value)
+            bounds = lo, hi
+        _x, r, _iters, converged = _solve(mapped, problem.observed.transmission, *bounds,
+                                          problem.max_iterations)
         out.append(ProfilePoint(float(value), float(np.sqrt((r @ r) / r.size)), converged))
     return out

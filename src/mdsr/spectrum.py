@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import chi_grid
 from .bloch import DecayModel, LaserField
 from .levels import LevelScheme, Manifold, Sublevel
 
@@ -83,6 +82,8 @@ class Spectrum:
         object.__setattr__(self, "transmission", tr)
         if det.shape != tr.shape or det.ndim != 1:
             raise ValueError("detunings and transmission must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(det)) and np.all(np.isfinite(tr))):
+            raise ValueError("detunings and transmission must be finite")
         if det.size > 1 and not np.all(np.diff(det) > 0):
             raise ValueError("detunings must be strictly increasing")
         if tr.size and (tr.min() < -1e-12 or tr.max() > 1.0 + 1e-12):
@@ -136,14 +137,21 @@ def _term_parameters(model: ExperimentModel):
 
 def susceptibility_grid(model: ExperimentModel, pops: PopulationDistribution,
                         deltas: np.ndarray) -> np.ndarray:
-    """Complex probe susceptibility at each detuning (MHz) in deltas."""
+    """Complex probe susceptibility at each detuning (MHz) in deltas:
+
+        chi(dp) = sum_i C * P_i * amp_i^2 * (i/2) / D_i(dp)
+        D_i = gamma_ac + i(dp - dps_i) + (wc_i^2/4) / (gamma_ab + i((dp - dps_i) - (dc - dcs_i)))
+
+    with everything in linear MHz and C the dimensionless susceptibility prefactor.
+    """
     amp2, omega_c, dp_shift, dc_shift = _term_parameters(model)
     pref = susceptibility_prefactor(model.n_f1, model.scheme.reduced_dipole)
-    return chi_grid(
-        np.ascontiguousarray(deltas, dtype=np.float64),
-        pops.as_array(), amp2, omega_c, dp_shift, dc_shift,
-        model.coupling.detuning, model.decay.gamma_ab, model.decay.gamma_ac, pref,
-    )
+    dp = np.asarray(deltas, dtype=np.float64)[:, None] - dp_shift[None, :]
+    two_photon = dp - (model.coupling.detuning - dc_shift)[None, :]
+    denom = model.decay.gamma_ac + 1j * dp
+    denom = denom + (omega_c[None, :] ** 2 / 4.0) / (model.decay.gamma_ab + 1j * two_photon)
+    terms = pref * pops.as_array()[None, :] * amp2[None, :] * (0.5j / denom)
+    return terms.sum(axis=1)
 
 
 def susceptibility(model: ExperimentModel, pops: PopulationDistribution,
@@ -151,14 +159,33 @@ def susceptibility(model: ExperimentModel, pops: PopulationDistribution,
     return complex(susceptibility_grid(model, pops, np.array([float(delta_p)]))[0])
 
 
-def transmission(chi: complex, model: ExperimentModel) -> float:
-    """Beer-Lambert readout T = exp(-k L Im chi), k = 2 pi / wavelength."""
-    im = chi.imag if np.isscalar(chi) or isinstance(chi, complex) else np.imag(chi)
+def optical_depth(chi, model: ExperimentModel):
+    """Beer-Lambert optical depth k L Im chi, k = 2 pi / wavelength."""
+    im = np.imag(chi)
     if np.min(im) < -1e-12:
         raise ValueError("Im chi must be non-negative (passive medium)")
     k_per_m = 2.0 * math.pi / (model.wavelength_nm * 1e-9)
     length_m = model.path_length_mm * 1e-3
-    return np.exp(-k_per_m * length_m * np.maximum(im, 0.0))
+    return k_per_m * length_m * np.maximum(im, 0.0)
+
+
+def optical_depth_basis(model: ExperimentModel, grid) -> np.ndarray:
+    """Optical depth of each F=1 sublevel alone at the model's density, one
+    column per sublevel (a_-1, a_0, a_+1) and one row per detuning.
+
+    The susceptibility is linear in the populations, so populations P give
+    the transmission exp(-basis @ P).
+    """
+    grid = np.asarray(grid, dtype=float)
+    return np.column_stack([
+        optical_depth(susceptibility_grid(model, PopulationDistribution(*unit), grid), model)
+        for unit in np.eye(3)
+    ])
+
+
+def transmission(chi: complex, model: ExperimentModel) -> float:
+    """Beer-Lambert readout T = exp(-k L Im chi)."""
+    return np.exp(-optical_depth(chi, model))
 
 
 def synth_spectrum(model: ExperimentModel, pops: PopulationDistribution,

@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .angular import wigner3j
 from .bloch import (
     DecayModel,
@@ -288,23 +287,6 @@ def check_pump_dark_states() -> CheckResult:
                        "G1 shares " + ", ".join(f"{s:.6f}" for s in shares))
 
 
-def check_kernel_parity() -> CheckResult:
-    model = _reference_model(0.15)
-    grid = np.linspace(-80, 80, 161)
-    pops = PopulationDistribution(0.32, 0.36, 0.32)
-    from .spectrum import _term_parameters, susceptibility_prefactor
-
-    amp2, omega_c, dps, dcs = _term_parameters(model)
-    pref = susceptibility_prefactor(model.n_f1, model.scheme.reduced_dipole)
-    args = (grid, pops.as_array(), amp2, omega_c, dps, dcs,
-            model.coupling.detuning, model.decay.gamma_ab, model.decay.gamma_ac, pref)
-    fast = _kernels.chi_grid(*args)
-    ref = _kernels.chi_grid_numpy(*args)
-    worst = np.abs(fast - ref).max()
-    which = "numba" if _kernels.NUMBA_ENABLED else "numpy"
-    return CheckResult("kernel-parity", worst < 1e-15, f"active={which}, max |diff| {worst:.2e}")
-
-
 ALL_CHECKS = [
     check_wigner_orthogonality,
     check_forbidden_zeros,
@@ -320,7 +302,6 @@ ALL_CHECKS = [
     check_window_width_ratio,
     check_rate_conservation,
     check_pump_dark_states,
-    check_kernel_parity,
 ]
 
 

@@ -25,19 +25,23 @@ class TestParseConfig:
         cfg = parse_config(
             "[experiment]\nomega_c = 40\nb_field = 0\n"
             "[scan]\nstart = -50\nstop = 50\nstep = 0.5\n"
-            "[fit]\ninit = 0.2, 0.3, 0.5\ndensity = off\n"
+            "[fit]\ndensity = off\n"
             "[pump]\npolarization = 1\n"
         )
         assert cfg.omega_c == 40.0
         assert cfg.b_field == 0.0
         assert cfg.scan_step == 0.5
-        assert cfg.fit_init == (0.2, 0.3, 0.5)
         assert cfg.fit_density is False
         assert cfg.pump_polarization == 1
 
     def test_unknown_field_named_in_error(self):
         with pytest.raises(ConfigError, match="experiment.bogus"):
             parse_config("[experiment]\nbogus = 1\n")
+        # removed keys: the fit has a single start computed from the data
+        with pytest.raises(ConfigError, match="unknown config field fit.init"):
+            parse_config("[fit]\ninit = 0.2, 0.3, 0.5\n")
+        with pytest.raises(ConfigError, match="unknown config field fit.multistart"):
+            parse_config("[fit]\nmultistart = off\n")
 
     def test_bad_value_named_in_error(self):
         with pytest.raises(ConfigError, match="scan.step"):
@@ -58,6 +62,15 @@ class TestParseConfig:
         assert grid[0] == -80.0
         assert grid[-1] == 80.0
         assert len(grid) == 161
+
+    def test_scan_grid_never_passes_stop(self):
+        grid = RunConfig(scan_start=0.0, scan_stop=1.0, scan_step=0.35).scan_grid()
+        assert np.allclose(grid, [0.0, 0.35, 0.7])
+        # a step of span / (n - 1) still gives n points ending at stop
+        for n in (161, 162, 977, 3201):
+            grid = RunConfig(scan_step=160.0 / (n - 1)).scan_grid()
+            assert len(grid) == n
+            assert grid[-1] == pytest.approx(80.0, abs=1e-9)
 
     def test_experiment_model_roundtrip(self):
         model = parse_config("").experiment_model()
@@ -118,6 +131,12 @@ class TestSpectrumIO:
         path = tmp_path / "bad.csv"
         path.write_text("detuning_mhz,transmission\n1,0.5\n0,0.5\n")
         with pytest.raises(SpectrumFormatError, match="increasing"):
+            read_spectrum(path)
+
+    def test_non_finite_detuning_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("detuning_mhz,transmission\n0,0.5\ninf,0.5\n")
+        with pytest.raises(ValueError, match="finite"):
             read_spectrum(path)
 
     def test_blank_lines_skipped(self, tmp_path):

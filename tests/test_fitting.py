@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdsr import fitting
 from mdsr.fitting import FitProblem, fit_populations, profile_scan, residuals
 from mdsr.spectrum import PopulationDistribution, Spectrum, add_noise, synth_spectrum
 
@@ -46,8 +47,12 @@ class TestResiduals:
             FitProblem(observed=Spectrum(np.array([]), np.array([])), model_template=model)
 
 
+# on a corner or edge of the simplex, where a fit must reach zero populations
+BOUNDARY_POPS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
+
+
 class TestNoiselessRoundTrip:
-    @pytest.mark.parametrize("truth", REFERENCE_POPS)
+    @pytest.mark.parametrize("truth", REFERENCE_POPS + BOUNDARY_POPS)
     def test_recovers_populations_and_density(self, truth, grid161):
         s, model = observed_for(truth, grid161)
         result = fit_populations(FitProblem(observed=s, model_template=model))
@@ -61,7 +66,6 @@ class TestNoiselessRoundTrip:
         s, model = observed_for(truth, grid161)
         result = fit_populations(FitProblem(
             observed=s, model_template=model, fit_density=False,
-            init=PopulationDistribution(*truth), multistart=False,
         ))
         assert result.converged
         assert result.iterations <= 2
@@ -94,6 +98,24 @@ class TestNoisyFit:
         assert result.converged
         assert np.abs(result.pops.as_array() - np.array(truth)).max() < 0.02
 
+    def test_fixed_density_converges(self, grid161):
+        truth = REFERENCE_POPS[3]
+        s, model = observed_for(truth, grid161, sigma=0.01, seed=3)
+        result = fit_populations(FitProblem(observed=s, model_template=model,
+                                            fit_density=False))
+        assert result.converged
+        assert result.n_f1 == model.n_f1
+        assert np.abs(result.pops.as_array() - np.array(truth)).max() < 0.02
+
+    def test_saturated_spectrum_gives_finite_simplex_result(self, grid161):
+        # every point lies below the warm-start transmission floor
+        s, model = observed_for(REFERENCE_POPS[0], grid161, n_f1=1e13)
+        assert s.transmission.max() < fitting.WARM_START_FLOOR
+        result = fit_populations(FitProblem(observed=s, model_template=model))
+        p = result.pops.as_array()
+        assert np.all(np.isfinite(p)) and np.isfinite(result.n_f1)
+        assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-9
+
     def test_deterministic(self, grid161):
         s, model = observed_for(REFERENCE_POPS[3], grid161, sigma=0.01, seed=5)
         problem = FitProblem(observed=s, model_template=model)
@@ -117,8 +139,7 @@ class TestProfileScan:
 
     def test_density_profile_minimum_at_truth(self, grid161):
         s, model = observed_for(REFERENCE_POPS[0], grid161)
-        problem = FitProblem(observed=s, model_template=model,
-                             init=PopulationDistribution(*REFERENCE_POPS[0]))
+        problem = FitProblem(observed=s, model_template=model)
         grid = np.array([0.3e11, 0.6e11, 1.2e11, 2.4e11, 4.8e11])
         points = profile_scan(problem, "n_f1", grid)
         best = min(points, key=lambda pt: pt.residual_rms)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mdsr import _kernels
 from mdsr.spectrum import (
     PopulationDistribution,
     Spectrum,
     add_noise,
+    optical_depth_basis,
     susceptibility,
     susceptibility_grid,
     synth_spectrum,
@@ -41,6 +41,12 @@ class TestSpectrumContainer:
     def test_rejects_out_of_range_transmission(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum([0.0, 1.0], [np.nan, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum([0.0, np.inf], [0.5, 0.5])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -126,19 +132,6 @@ class TestSusceptibility:
             assert susceptibility(reference_model, pops, d) == c
 
 
-class TestKernelParity:
-    def test_fast_path_matches_numpy_reference(self, reference_model, grid161):
-        from mdsr.spectrum import _term_parameters, susceptibility_prefactor
-
-        pops = PopulationDistribution(*REFERENCE_POPS[0])
-        amp2, omega_c, dps, dcs = _term_parameters(reference_model)
-        pref = susceptibility_prefactor(reference_model.n_f1, reference_model.scheme.reduced_dipole)
-        args = (grid161, pops.as_array(), amp2, omega_c, dps, dcs,
-                reference_model.coupling.detuning, reference_model.decay.gamma_ab,
-                reference_model.decay.gamma_ac, pref)
-        assert np.abs(_kernels.chi_grid(*args) - _kernels.chi_grid_numpy(*args)).max() < 1e-15
-
-
 class TestTransmission:
     def test_zero_density_is_fully_transparent(self, grid161):
         s = synth_spectrum(make_model(n_f1=0.0), PopulationDistribution(*REFERENCE_POPS[0]), grid161)
@@ -150,6 +143,12 @@ class TestTransmission:
             assert s.transmission.min() > 0.0
             assert s.transmission.max() <= 1.0
             assert s.transmission.min() < 0.9  # visibly absorbing at the reference density
+
+    def test_optical_depth_basis_reproduces_transmission(self, reference_model, grid161):
+        basis = optical_depth_basis(reference_model, grid161)
+        for pops in REFERENCE_POPS:
+            s = synth_spectrum(reference_model, PopulationDistribution(*pops), grid161)
+            assert np.abs(np.exp(-basis @ np.array(pops)) - s.transmission).max() < 1e-14
 
     def test_rejects_negative_im_chi(self, reference_model):
         with pytest.raises(ValueError):
