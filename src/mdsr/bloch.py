@@ -7,6 +7,14 @@ population decay Gamma = 2(gamma_ac - gamma_ab) branched by squared
 dipole amplitudes, plus pure dephasing gamma_ab added to ground-ground
 and optical coherences.  With that split the weak-probe Lambda coherence
 of `lambda_coherence_analytic` is reproduced exactly by the full model.
+
+`weak_probe_coherences` solves the first-order probe response on one block
+of Liouville space: the coherences with a row in the probe's ground
+manifold and a column outside it.  The block is closed under the
+probe-free generator L0 because no field other than the probe drives that
+manifold (its rows of H are diagonal), and decay feeds only populations;
+so L0 has no entry between the block and the rest.  The probe drive of the
+frozen ground populations lies in the block and its conjugate transpose.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .levels import LevelScheme, Manifold, Sublevel
 
@@ -118,36 +125,16 @@ def build_hamiltonian(scheme: LevelScheme, fields) -> np.ndarray:
     return h
 
 
-def _decay_channels(scheme: LevelScheme):
-    """(excited index, ground index, branching fraction) with fractions
-    normalized per excited sublevel over every dipole-allowed channel."""
-    strength = {}
-    for (lo, up, _q), amp in scheme.couplings.items():
-        strength.setdefault(up, []).append((lo, amp * amp))
-    channels = []
-    for up, lst in strength.items():
-        total = sum(w for _, w in lst)
-        for lo, w in lst:
-            channels.append((scheme.index(up), scheme.index(lo), w / total))
-    return channels
-
-
-def lindblad_superoperator(h: np.ndarray, jumps) -> np.ndarray:
-    """Vectorized generator for rho.reshape(-1) (row-major):
-    L = -i(H x I - I x H^T) + sum_k [A x conj(A) - (A^+A x I + I x (A^+A)^T)/2]."""
-    n = h.shape[0]
-    eye = np.eye(n)
-    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for a in jumps:
-        ada = a.conj().T @ a
-        lmat += np.kron(a, a.conj())
-        lmat -= 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
-    return lmat
-
-
 def build_liouvillian(h: np.ndarray, scheme: LevelScheme, decay: DecayModel) -> np.ndarray:
-    """Full generator: coherent part, branched excited-state decay, and the
-    phenomenological dephasing that pins coherence decays to gamma_ab/gamma_ac."""
+    """Generator for rho.reshape(-1) (row-major): coherent part
+    -i(H x I - I x H^T), branched excited-state decay, and the
+    phenomenological dephasing that pins coherence decays to gamma_ab/gamma_ac.
+
+    A decay channel sqrt(Gamma f)|g><e| is one transfer entry
+    L[(g,g),(e,e)] = Gamma f; the rest of the dissipator is diagonal:
+    -(loss_i + loss_j)/2, with loss the total decay rate out of a sublevel,
+    minus gamma_ab on every coherence that is not between two excited levels.
+    """
     n = scheme.dim
     if h.shape != (n, n):
         raise ValueError("Hamiltonian dimension does not match scheme")
@@ -155,32 +142,21 @@ def build_liouvillian(h: np.ndarray, scheme: LevelScheme, decay: DecayModel) -> 
     if gamma <= 0:
         raise ValueError("excited-state decay rate must be positive")
 
-    jumps = []
-    for ei, gi, frac in _decay_channels(scheme):
-        a = np.zeros((n, n), dtype=complex)
-        a[gi, ei] = np.sqrt(gamma * frac)
-        jumps.append(a)
-    lmat = lindblad_superoperator(h, jumps)
-
-    # extra dephasing: gamma_ab on ground-ground and ground-excited coherences,
-    # so optical coherences decay at Gamma/2 + gamma_ab = gamma_ac total
+    idx = np.arange(n)
+    lmat = np.zeros((n, n, n, n), dtype=complex)  # [i, j, k, l]: d rho_ij / d rho_kl
+    lmat[:, idx, :, idx] = -1j * h
+    lmat[idx, :, idx, :] += 1j * h.T
+    loss = np.zeros(n)
+    for e, g, frac in scheme.decay_channels():
+        lmat[g, g, e, e] += gamma * frac
+        loss[e] += gamma * frac
+    # gamma_ab on ground-ground and ground-excited coherences, so optical
+    # coherences decay at Gamma/2 + gamma_ab = gamma_ac in total
     excited = np.array([s.manifold.is_excited for s in scheme.sublevels])
-    deph = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and not (excited[i] and excited[j]):
-                deph[i, j] = decay.gamma_ab
-    lmat -= np.diag(deph.reshape(-1))
-    return lmat
-
-
-def apply_liouvillian(lmat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return (lmat @ rho.reshape(-1)).reshape(rho.shape)
-
-
-def evolve(lmat: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    rho = (expm(lmat * t) @ rho0.reshape(-1)).reshape(rho0.shape)
-    return 0.5 * (rho + rho.conj().T)
+    deph = np.where(np.logical_and.outer(excited, excited), 0.0, decay.gamma_ab)
+    np.fill_diagonal(deph, 0.0)
+    lmat[idx[:, None], idx, idx[:, None], idx] -= 0.5 * np.add.outer(loss, loss) + deph
+    return lmat.reshape(n * n, n * n)
 
 
 def steady_state(
@@ -217,6 +193,8 @@ def steady_state(
     res = np.linalg.norm(lmat @ rho.reshape(-1))
     if res < target:
         return rho
+    from scipy.linalg import expm  # deferred: synth and fit never need scipy
+
     prop = expm(lmat * (1.0 / max(lnorm, 1.0)))
     for _ in range(max_doublings):
         rho = (prop @ rho.reshape(-1)).reshape(n, n)
@@ -267,9 +245,13 @@ def weak_probe_coherences(
 
     Returns the first-order density-matrix correction: the generator is split
     into L0 (coupling + frames, probe drive removed) and the probe drive, and
-    L0 rho1 = -L_drive rho0 is solved with rho0 = diag(ground_populations).
+    L0 rho1 = -(-i[H_drive, rho0]) is solved with rho0 = diag(ground_populations).
     This is the regime of the additive susceptibility decomposition, where
     ground populations enter as external parameters.
+
+    Only the block of rho1 with a row in the probe's ground manifold and a
+    column outside it is solved (3 x 10 unknowns on the 13-level scheme); the
+    [e, g] half is its conjugate transpose and every other entry is zero.
 
     The result is returned in the sign convention of
     `lambda_coherence_analytic`: with the -Omega/2 Hamiltonian convention the
@@ -278,6 +260,10 @@ def weak_probe_coherences(
     population(g) * lambda_coherence_analytic(amp_probe * omega_p, ...) with
     the signed probe amplitude of that transition.
     """
+    gman = probe.transition[0]
+    if coupling.transition[0] is gman:
+        raise ValueError("the coupling drives the probe's ground manifold, "
+                         "so the first-order probe block is not closed")
     probe_at = LaserField(probe.q, probe.rabi_scale, delta_p, probe.transition)
     h_full = build_hamiltonian(scheme, [coupling, probe_at])
     h0 = build_hamiltonian(scheme, [coupling, LaserField(probe.q, 0.0, delta_p, probe.transition)])
@@ -288,9 +274,14 @@ def weak_probe_coherences(
     rho0 = np.zeros((n, n), dtype=complex)
     for s, p in ground_populations.items():
         rho0[scheme.index(s), scheme.index(s)] = p
+    drive = -1j * (hdrive @ rho0 - rho0 @ hdrive)
 
-    eye = np.eye(n)
-    ldrive = -1j * (np.kron(hdrive, eye) - np.kron(eye, hdrive.T))
-    rhs = -(ldrive @ rho0.reshape(-1))
-    rho1, *_ = np.linalg.lstsq(l0, rhs, rcond=None)
-    return -rho1.reshape(n, n)
+    in_g = np.array([s.manifold is gman for s in scheme.sublevels])
+    rows, cols = np.flatnonzero(in_g), np.flatnonzero(~in_g)
+    block = (rows[:, None] * n + cols).reshape(-1)
+    sol, *_ = np.linalg.lstsq(l0[np.ix_(block, block)],
+                              -drive[np.ix_(rows, cols)].reshape(-1), rcond=None)
+    rho1 = np.zeros((n, n), dtype=complex)
+    rho1[np.ix_(rows, cols)] = sol.reshape(rows.size, cols.size)
+    rho1[np.ix_(cols, rows)] = rho1[np.ix_(rows, cols)].conj().T
+    return -rho1

@@ -129,6 +129,20 @@ class LevelScheme:
     def manifold_levels(self, manifold: Manifold):
         return [s for s in self.sublevels if s.manifold is manifold]
 
+    def decay_channels(self):
+        """Spontaneous-decay branching as (excited index, ground index, fraction),
+        the fractions of each excited sublevel being its squared dipole
+        amplitudes normalized over every dipole-allowed channel."""
+        pos = {s: i for i, s in enumerate(self.sublevels)}
+        strength = {}
+        for (lo, up, _q), amp in self.couplings.items():
+            strength.setdefault(up, []).append((lo, amp * amp))
+        channels = []
+        for up, lst in strength.items():
+            total = sum(w for _, w in lst)
+            channels.extend((pos[up], pos[lo], w / total) for lo, w in lst)
+        return channels
+
 
 def build_level_scheme(b_gauss: float = 0.0, include_e1: bool = False) -> LevelScheme:
     """Enumerate the 13-level (or 16-level, with F'=1) D1 system."""

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bloch import LaserField
 from .levels import LevelScheme, Manifold, NATURAL_LINEWIDTH_MHZ, Sublevel
@@ -129,24 +128,17 @@ def pump_rate_matrix(scheme: LevelScheme, pump: PumpConfig,
                 rate[j, i] += r
                 rate[i, i] -= r
 
-    # spontaneous decay, branched by squared amplitudes over all channels
-    strength = {}
-    for (lo, up, _q), amp in scheme.couplings.items():
-        strength.setdefault(up, []).append((lo, amp * amp))
-    for up, lst in strength.items():
-        total = sum(w for _, w in lst)
-        j = scheme.index(up)
-        for lo, w in lst:
-            i = scheme.index(lo)
-            r = gamma * w / total
-            rate[i, j] += r
-            rate[j, j] -= r
+    for j, i, frac in scheme.decay_channels():
+        rate[i, j] += gamma * frac
+        rate[j, j] -= gamma * frac
     return rate
 
 
 def evolve_populations(rates: np.ndarray, state0: PopulationState,
                        t_ms: float) -> PopulationState:
     """Propagate dp/dt = R p for t_ms by matrix exponential."""
+    from scipy.linalg import expm  # deferred: synth and fit never need scipy
+
     if t_ms < 0:
         raise ValueError("time must be >= 0")
     if t_ms == 0:
@@ -159,6 +151,8 @@ def evolve_populations(rates: np.ndarray, state0: PopulationState,
 def steady_populations(rates: np.ndarray, state0: PopulationState,
                        tol: float = 1e-12, max_doublings: int = 80) -> PopulationState:
     """Long-time limit from state0 (dark-subspace mass preserved)."""
+    from scipy.linalg import expm
+
     state = state0
     if np.linalg.norm(rates @ state.pops) < tol:
         return state

@@ -13,8 +13,6 @@ import numpy as np
 
 from .angular import wigner3j
 from .bloch import (
-    DecayModel,
-    LaserField,
     build_hamiltonian,
     build_liouvillian,
     lambda_coherence_analytic,
@@ -22,10 +20,10 @@ from .bloch import (
     validate_density_matrix,
     weak_probe_coherences,
 )
+from .config import RunConfig
 from .levels import LevelScheme, Manifold, Sublevel, build_level_scheme, relative_dipole
 from .pumping import PumpConfig, evolve_populations, pump_rate_matrix, uniform_g1_state
 from .spectrum import (
-    ExperimentModel,
     PopulationDistribution,
     susceptibility_grid,
     synth_spectrum,
@@ -49,18 +47,6 @@ def restrict_scheme(scheme: LevelScheme, keep) -> LevelScheme:
                    if k[0] in keep and k[1] in keep},
         reduced_dipole=scheme.reduced_dipole,
         magnetic_field=scheme.magnetic_field,
-    )
-
-
-def _reference_model(b_field: float = 0.0) -> ExperimentModel:
-    return ExperimentModel(
-        scheme=build_level_scheme(b_field),
-        coupling=LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2)),
-        probe=LaserField(-1, 1.0, 0.0, (Manifold.G1, Manifold.E2)),
-        decay=DecayModel(2.0, 4.0),
-        n_f1=1.2e11,
-        path_length_mm=2.0,
-        wavelength_nm=795.0,
     )
 
 
@@ -124,7 +110,7 @@ def check_dipole_sum_rule() -> CheckResult:
 
 
 def check_trace_preservation() -> CheckResult:
-    model = _reference_model(0.15)
+    model = RunConfig(b_field=0.15).experiment_model()
     h = build_hamiltonian(model.scheme, [model.coupling, model.probe])
     lmat = build_liouvillian(h, model.scheme, model.decay)
     rng = np.random.default_rng(7)
@@ -137,7 +123,7 @@ def check_trace_preservation() -> CheckResult:
 
 
 def check_b0_trap() -> CheckResult:
-    model = _reference_model(0.15)
+    model = RunConfig(b_field=0.15).experiment_model()
     h = build_hamiltonian(model.scheme, [model.coupling])
     lmat = build_liouvillian(h, model.scheme, model.decay)
     rho = np.zeros((13, 13), dtype=complex)
@@ -147,15 +133,10 @@ def check_b0_trap() -> CheckResult:
     return CheckResult("b0-trap-stationarity", res == 0.0, f"|L rho_b0| = {res:.2e}")
 
 
-def _lambda_subsystem():
-    scheme = build_level_scheme(0.0)
-    keep = (Sublevel(Manifold.G1, -1), Sublevel(Manifold.G2, -2), Sublevel(Manifold.E2, -2))
-    return restrict_scheme(scheme, keep), keep
-
-
-def check_oracle_linear_response() -> CheckResult:
-    """13-level frozen-population probe response vs the analytic Lambda coherence."""
-    model = _reference_model(0.0)
+def oracle_linear_response_deviation() -> float:
+    """Worst relative Im deviation of the 13-level frozen-population probe
+    response from the analytic Lambda coherence, over -80..80 MHz at B = 0."""
+    model = RunConfig(b_field=0.0).experiment_model()
     scheme = model.scheme
     a = Sublevel(Manifold.G1, -1)
     c = Sublevel(Manifold.E2, -2)
@@ -173,17 +154,24 @@ def check_oracle_linear_response() -> CheckResult:
             dp, 0.0, model.decay.gamma_ac, model.decay.gamma_ab)
         if abs(ana.imag) > 1e-6:
             worst = max(worst, abs(num.imag - ana.imag) / abs(ana.imag))
+    return worst
+
+
+def check_oracle_linear_response() -> CheckResult:
+    """13-level frozen-population probe response vs the analytic Lambda coherence."""
+    worst = oracle_linear_response_deviation()
     return CheckResult("oracle-13-level-linear-response", worst < 0.01,
                        f"max relative Im deviation {worst:.2e}")
 
 
 def check_oracle_nonlinear_steady_state() -> CheckResult:
     """True Lindblad steady state of the closed Lambda subsystem vs the formula."""
-    sub, (a, b, c) = _lambda_subsystem()
-    decay = DecayModel(2.0, 4.0)
-    coupling = LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2))
+    model = RunConfig(b_field=0.0).experiment_model()
+    a, b, c = Sublevel(Manifold.G1, -1), Sublevel(Manifold.G2, -2), Sublevel(Manifold.E2, -2)
+    sub = restrict_scheme(model.scheme, (a, b, c))
+    coupling, decay = model.coupling, model.decay
     omega_p = 0.1  # below saturation so the first-order formula applies
-    probe = LaserField(-1, omega_p, 0.0, (Manifold.G1, Manifold.E2))
+    probe = replace(model.probe, rabi_scale=omega_p)
     rel_p = relative_dipole(a, c, -1)
     rel_c = relative_dipole(b, c, 0)
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -195,7 +183,7 @@ def check_oracle_nonlinear_steady_state() -> CheckResult:
         rho = steady_state(lmat, rho0)
         validate_density_matrix(rho)
         num = -rho[sub.index(a), sub.index(c)]  # absorption sign convention
-        ana = lambda_coherence_analytic(rel_p * omega_p, abs(rel_c) * 78.0,
+        ana = lambda_coherence_analytic(rel_p * omega_p, abs(rel_c) * coupling.rabi_scale,
                                         dp, 0.0, decay.gamma_ac, decay.gamma_ab)
         if abs(ana.imag) > 1e-6:
             worst = max(worst, abs(num.imag - ana.imag) / abs(ana.imag))
@@ -204,7 +192,7 @@ def check_oracle_nonlinear_steady_state() -> CheckResult:
 
 
 def check_im_chi_nonnegative() -> CheckResult:
-    model = _reference_model(0.15)
+    model = RunConfig(b_field=0.15).experiment_model()
     rng = np.random.default_rng(3)
     grid = np.linspace(-120, 120, 481)
     worst = 0.0
@@ -216,7 +204,7 @@ def check_im_chi_nonnegative() -> CheckResult:
 
 
 def check_chi_linearity() -> CheckResult:
-    model = _reference_model(0.15)
+    model = RunConfig(b_field=0.15).experiment_model()
     grid = np.linspace(-80, 80, 81)
     p1, p2 = PopulationDistribution(0.7, 0.2, 0.1), PopulationDistribution(0.1, 0.3, 0.6)
     alpha = 0.37
@@ -228,7 +216,7 @@ def check_chi_linearity() -> CheckResult:
 
 
 def check_sign_flip_invariance() -> CheckResult:
-    model = _reference_model(0.15)
+    model = RunConfig(b_field=0.15).experiment_model()
     flipped_scheme = LevelScheme(
         sublevels=model.scheme.sublevels,
         zeeman=model.scheme.zeeman,
@@ -247,7 +235,7 @@ def check_sign_flip_invariance() -> CheckResult:
 
 def check_window_width_ratio() -> CheckResult:
     """a_-1 subsystem transparency window twice the a_0 one (Omega_c2 = 2 Omega_c1)."""
-    model = _reference_model(0.0)
+    model = RunConfig(b_field=0.0).experiment_model()
     grid = np.arange(-60.0, 60.001, 0.05)
 
     def splitting(pops):
@@ -262,7 +250,7 @@ def check_window_width_ratio() -> CheckResult:
 
 def check_rate_conservation() -> CheckResult:
     scheme = build_level_scheme(0.15, include_e1=True)
-    coupling = LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2))
+    coupling = RunConfig().experiment_model().coupling
     state = uniform_g1_state(scheme)
     worst = 0.0
     for q in (-1, 0, 1):
@@ -275,7 +263,7 @@ def check_rate_conservation() -> CheckResult:
 
 def check_pump_dark_states() -> CheckResult:
     scheme = build_level_scheme(0.15, include_e1=True)
-    coupling = LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2))
+    coupling = RunConfig().experiment_model().coupling
     state = uniform_g1_state(scheme)
     shares = []
     for q, idx in ((-1, 0), (0, 1), (1, 2)):

@@ -1,13 +1,12 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mdsr
-from mdsr.bloch import DecayModel, LaserField
-from mdsr.levels import Manifold, build_level_scheme
-from mdsr.spectrum import ExperimentModel
+from mdsr.config import ConfigError, RunConfig
 
 REFERENCE_POPS = [
     (0.32, 0.36, 0.32),
@@ -18,15 +17,14 @@ REFERENCE_POPS = [
 
 
 def make_model(b_field=0.15, n_f1=1.2e11, omega_c=78.0, omega_p=1.0):
-    return ExperimentModel(
-        scheme=build_level_scheme(b_field),
-        coupling=LaserField(0, omega_c, 0.0, (Manifold.G2, Manifold.E2)),
-        probe=LaserField(-1, omega_p, 0.0, (Manifold.G1, Manifold.E2)),
-        decay=DecayModel(2.0, 4.0),
-        n_f1=n_f1,
-        path_length_mm=2.0,
-        wavelength_nm=795.0,
-    )
+    """The reference model of `RunConfig`, with the given overrides."""
+    overrides = dict(b_field=b_field, omega_c=omega_c, omega_p=omega_p)
+    try:
+        return RunConfig(n_f1=n_f1, **overrides).experiment_model()
+    except ConfigError:
+        # densities the config rejects (0, 1 and -1 in these tests) are set
+        # on the built model, which checks them itself
+        return replace(RunConfig(**overrides).experiment_model(), n_f1=n_f1)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from mdsr.bloch import (
     build_hamiltonian,
     build_liouvillian,
     lambda_coherence_analytic,
-    lindblad_superoperator,
     steady_state,
     validate_density_matrix,
     weak_probe_coherences,
@@ -22,6 +21,52 @@ from mdsr.validate import restrict_scheme
 COUPLING = LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2))
 PROBE = LaserField(-1, 1.0, 0.0, (Manifold.G1, Manifold.E2))
 DECAY = DecayModel(2.0, 4.0)
+
+
+def lindblad_kron(h, jumps):
+    """Textbook vectorized Lindblad generator for rho.reshape(-1) (row-major):
+    L = -i(H x I - I x H^T) + sum_k [A x conj(A) - (A^+A x I + I x (A^+A)^T)/2]."""
+    n = h.shape[0]
+    eye = np.eye(n)
+    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for a in jumps:
+        ada = a.conj().T @ a
+        lmat += np.kron(a, a.conj())
+        lmat -= 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
+    return lmat
+
+
+def kron_liouvillian(h, scheme, decay):
+    """Reference for `build_liouvillian`: one jump operator per dipole-allowed
+    decay channel, branched by squared amplitudes, plus gamma_ab dephasing on
+    every coherence that is not between two excited sublevels."""
+    n = scheme.dim
+    strength = {}
+    for (lo, up, _q), amp in scheme.couplings.items():
+        strength.setdefault(up, []).append((lo, amp * amp))
+    jumps = []
+    for up, lst in strength.items():
+        total = sum(w for _, w in lst)
+        for lo, w in lst:
+            a = np.zeros((n, n), dtype=complex)
+            a[scheme.index(lo), scheme.index(up)] = np.sqrt(decay.gamma_excited * w / total)
+            jumps.append(a)
+    lmat = lindblad_kron(h, jumps)
+    excited = [s.manifold.is_excited for s in scheme.sublevels]
+    for i in range(n):
+        for j in range(n):
+            if i != j and not (excited[i] and excited[j]):
+                lmat[i * n + j, i * n + j] -= decay.gamma_ab
+    return lmat
+
+
+def two_level_liouvillian(omega, gamma, delta=0.0):
+    # b_+2 <-> c_+2 has unit amplitude and decays only to b_+2, so this is
+    # H = [[0, -omega/2], [-omega/2, -delta]] with one jump sqrt(gamma)|b><c|
+    sub = restrict_scheme(build_level_scheme(0.0),
+                          (Sublevel(Manifold.G2, 2), Sublevel(Manifold.E2, 2)))
+    h = build_hamiltonian(sub, [LaserField(0, omega, delta, (Manifold.G2, Manifold.E2))])
+    return build_liouvillian(h, sub, DecayModel(0.0, gamma / 2))
 
 
 class TestLaserFieldAndDecay:
@@ -100,12 +145,26 @@ class TestLiouvillian:
         rho[i, i] = 1.0
         assert np.abs(lmat @ rho.reshape(-1)).max() == 0.0
 
+    @pytest.mark.parametrize("b_field", [0.0, 0.15, 0.7])
+    @pytest.mark.parametrize("levels", [3, 13, 16])
+    def test_matches_kron_lindblad_form(self, levels, b_field):
+        scheme = build_level_scheme(b_field, include_e1=levels == 16)
+        if levels == 3:
+            scheme = restrict_scheme(scheme, (Sublevel(Manifold.G1, -1), Sublevel(Manifold.G2, -2),
+                                              Sublevel(Manifold.E2, -2)))
+        assert scheme.dim == levels
+        probe = replace(PROBE, detuning=-7.0)
+        h = build_hamiltonian(scheme, [replace(COUPLING, detuning=3.0), probe])
+        lmat = build_liouvillian(h, scheme, DECAY)
+        assert np.abs(lmat - kron_liouvillian(h, scheme, DECAY)).max() <= 1e-14
 
-def two_level_liouvillian(omega, gamma, delta=0.0):
-    h = np.array([[0.0, -omega / 2], [-omega / 2, -delta]], dtype=complex)
-    jump = np.zeros((2, 2), dtype=complex)
-    jump[0, 1] = np.sqrt(gamma)
-    return lindblad_superoperator(h, [jump])
+    def test_two_level_generator_is_textbook_form(self):
+        omega, gamma, delta = 3.0, 4.0, 1.5
+        h = np.array([[0.0, -omega / 2], [-omega / 2, -delta]], dtype=complex)
+        jump = np.zeros((2, 2), dtype=complex)
+        jump[0, 1] = np.sqrt(gamma)
+        expected = lindblad_kron(h, [jump])
+        assert np.abs(two_level_liouvillian(omega, gamma, delta) - expected).max() <= 1e-14
 
 
 class TestSteadyState:
@@ -137,7 +196,7 @@ class TestSteadyState:
 
     def test_oscillatory_generator_raises_diagnostic(self):
         h = np.diag([0.0, 1.0]).astype(complex)
-        lmat = lindblad_superoperator(h, [])  # pure rotation, degenerate kernel
+        lmat = lindblad_kron(h, [])  # pure rotation, degenerate kernel
         rho0 = np.full((2, 2), 0.5, dtype=complex)
         with pytest.raises(SteadyStateError) as err:
             steady_state(lmat, rho0, max_doublings=8)
@@ -238,3 +297,30 @@ class TestOracleEquivalence:
             r1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, dp)
             r2 = weak_probe_coherences(flipped, COUPLING, PROBE, DECAY, pops, dp)
             assert np.abs(np.abs(r1) - np.abs(r2)).max() < 1e-12
+
+    def test_block_solve_matches_full_liouville_space_lstsq(self):
+        scheme = build_level_scheme(0.15)
+        coupling = replace(COUPLING, detuning=6.0)
+        pops = {Sublevel(Manifold.G1, m): p for m, p in zip((-1, 0, 1), (0.55, 0.3, 0.15))}
+        n = scheme.dim
+        rho0 = np.zeros((n, n), dtype=complex)
+        for s, p in pops.items():
+            rho0[scheme.index(s), scheme.index(s)] = p
+        eye = np.eye(n)
+        for dp in (-45.0, -33.0, 0.0, 6.0, 27.5):
+            probe_at = replace(PROBE, detuning=dp)
+            h0 = build_hamiltonian(scheme, [coupling, replace(probe_at, rabi_scale=0.0)])
+            hdrive = build_hamiltonian(scheme, [coupling, probe_at]) - h0
+            ldrive = -1j * (np.kron(hdrive, eye) - np.kron(eye, hdrive.T))
+            rhs = -(ldrive @ rho0.reshape(-1))
+            full, *_ = np.linalg.lstsq(kron_liouvillian(h0, scheme, DECAY), rhs, rcond=None)
+            expected = -full.reshape(n, n)
+            rho1 = weak_probe_coherences(scheme, coupling, PROBE, DECAY, pops, dp)
+            assert np.abs(rho1 - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_coupling_on_probe_ground_manifold_rejected(self):
+        scheme = build_level_scheme(0.15, include_e1=True)
+        coupling = LaserField(0, 78.0, 0.0, (Manifold.G1, Manifold.E1))
+        pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
+        with pytest.raises(ValueError, match="not closed"):
+            weak_probe_coherences(scheme, coupling, PROBE, DECAY, pops, 0.0)

@@ -129,6 +129,13 @@ class TestPumpDesign:
         assert plan["polarization"] == "-1"
         assert float(plan["target_distance"]) < 0.02
 
+    def test_unreachable_target_exit_code(self, tmp_path):
+        out = tmp_path / "plan.txt"
+        proc = run_cli(["pump-design", "--target", "1,0,0", "--out", str(out)], tmp_path)
+        assert proc.returncode == 2
+        assert "target not reachable" in proc.stderr
+        assert float(read_kv(out)["target_distance"]) > 0.02
+
     def test_target_required(self, tmp_path):
         proc = run_cli(["pump-design"], tmp_path)
         assert proc.returncode != 0
