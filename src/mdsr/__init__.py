@@ -31,7 +31,6 @@ from .pumping import (
     design_pump,
     evolve_populations,
     pump_rate_matrix,
-    steady_populations,
     uniform_g1_state,
 )
 from .spectrum import (

@@ -25,7 +25,7 @@ def _parse_triple(raw: str, what: str) -> np.ndarray:
         parts = [float(x) for x in raw.split(",")]
     except ValueError:
         raise SystemExit(f"error: cannot parse {what} {raw!r}")
-    if len(parts) != 3 or min(parts) < 0 or sum(parts) <= 0:
+    if len(parts) != 3 or not np.isfinite(parts).all() or min(parts) < 0 or sum(parts) <= 0:
         raise SystemExit(f"error: {what} must be three non-negative numbers")
     arr = np.array(parts)
     return arr / arr.sum()

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .bloch import DecayModel, LaserField
 from .levels import D1_WAVELENGTH_NM, Manifold, build_level_scheme
-from .pumping import DEFAULT_PUMP_DURATION_MS, PumpConfig
+from .pumping import DEFAULT_PUMP_DURATION_MS
 from .spectrum import ExperimentModel
 
 
@@ -37,8 +37,6 @@ class RunConfig:
     fit_density: bool = True
     fit_max_iterations: int = 200
     # pump
-    pump_polarization: int = -1
-    pump_power: float = 13.6     # mW
     pump_beam_diameter: float = 2.0  # mm
     pump_duration: float = DEFAULT_PUMP_DURATION_MS  # ms
     # output
@@ -66,8 +64,6 @@ class RunConfig:
         check(self.scan_start < self.scan_stop, "scan.start", self.scan_start)
         check(self.fit_max_iterations > 0, "fit.max_iterations", self.fit_max_iterations)
         check(1e9 <= self.fit_init_density <= 1e13, "fit.init_density", self.fit_init_density)
-        check(self.pump_polarization in (-1, 0, 1), "pump.polarization", self.pump_polarization)
-        check(self.pump_power >= 0, "pump.power", self.pump_power)
         check(self.pump_beam_diameter > 0, "pump.beam_diameter", self.pump_beam_diameter)
         check(self.pump_duration > 0, "pump.duration", self.pump_duration)
 
@@ -94,10 +90,6 @@ class RunConfig:
         n = int(np.floor((self.scan_stop - self.scan_start) / self.scan_step + 1e-9)) + 1
         return self.scan_start + self.scan_step * np.arange(n)
 
-    def pump_config(self) -> PumpConfig:
-        return PumpConfig(self.pump_polarization, self.pump_power,
-                          self.pump_beam_diameter, self.pump_duration)
-
 
 _FIELD_MAP = {
     ("experiment", "omega_c"): ("omega_c", float),
@@ -115,8 +107,6 @@ _FIELD_MAP = {
     ("fit", "init_density"): ("fit_init_density", float),
     ("fit", "density"): ("fit_density", "bool"),
     ("fit", "max_iterations"): ("fit_max_iterations", int),
-    ("pump", "polarization"): ("pump_polarization", int),
-    ("pump", "power"): ("pump_power", float),
     ("pump", "beam_diameter"): ("pump_beam_diameter", float),
     ("pump", "duration"): ("pump_duration", float),
     ("output", "path"): ("out_path", str),

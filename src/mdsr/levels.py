@@ -116,12 +116,19 @@ class LevelScheme:
     reduced_dipole: float  # C*m
     magnetic_field: float  # G
 
+    def __post_init__(self):
+        # sublevel -> position, derived rather than a field
+        object.__setattr__(self, "_positions", {s: i for i, s in enumerate(self.sublevels)})
+
     @property
     def dim(self) -> int:
         return len(self.sublevels)
 
     def index(self, s: Sublevel) -> int:
-        return self.sublevels.index(s)
+        try:
+            return self._positions[s]
+        except KeyError:
+            raise ValueError(f"{s} is not in the level scheme") from None
 
     def coupling(self, lower: Sublevel, upper: Sublevel, q: int) -> float:
         return self.couplings.get((lower, upper, q), 0.0)
@@ -133,7 +140,7 @@ class LevelScheme:
         """Spontaneous-decay branching as (excited index, ground index, fraction),
         the fractions of each excited sublevel being its squared dipole
         amplitudes normalized over every dipole-allowed channel."""
-        pos = {s: i for i, s in enumerate(self.sublevels)}
+        pos = self._positions
         strength = {}
         for (lo, up, _q), amp in self.couplings.items():
             strength.setdefault(up, []).append((lo, amp * amp))

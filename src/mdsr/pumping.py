@@ -25,6 +25,10 @@ from .levels import LevelScheme, Manifold, NATURAL_LINEWIDTH_MHZ, Sublevel
 I_SAT_MW_PER_CM2 = 1.496  # D1 line saturation intensity
 MHZ_TO_PER_MS = 1.0e3
 DEFAULT_PUMP_DURATION_MS = 2.0e-4
+MAX_POWER_MW = 20.0  # design_pump's power cap; s/(1+s) = 0.998 there for a 2 mm beam
+GRID_POINTS = 33     # design_pump's uniform grid in f/f_max
+GOLDEN_STEPS = 40    # golden-section steps, shrinking two grid cells by 0.618**40
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -148,69 +152,51 @@ def evolve_populations(rates: np.ndarray, state0: PopulationState,
     return PopulationState(state0.scheme, p / p.sum())
 
 
-def steady_populations(rates: np.ndarray, state0: PopulationState,
-                       tol: float = 1e-12, max_doublings: int = 80) -> PopulationState:
-    """Long-time limit from state0 (dark-subspace mass preserved)."""
-    from scipy.linalg import expm
-
-    state = state0
-    if np.linalg.norm(rates @ state.pops) < tol:
-        return state
-    scale = max(np.abs(rates).max(), 1e-30)
-    prop = expm(rates * (1.0 / scale))
-    p = state.pops.copy()
-    for _ in range(max_doublings):
-        p = prop @ p
-        p = np.maximum(p, 0.0)
-        p /= p.sum()
-        if np.linalg.norm(rates @ p) < tol:
-            return PopulationState(state0.scheme, p)
-        prop = prop @ prop
-    raise RuntimeError(
-        f"rate equations did not reach steady state (residual {np.linalg.norm(rates @ p):.3e})"
-    )
-
-
 def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
                 duration_ms: float = DEFAULT_PUMP_DURATION_MS,
-                beam_diameter_mm: float = 2.0,
-                max_power_mw: float = 20.0) -> PumpPlan:
+                beam_diameter_mm: float = 2.0) -> PumpPlan:
     """Pick the pump polarization and power whose predicted G1 distribution
-    (from a uniform start, after duration_ms) is L1-closest to the target."""
-    target = np.asarray(target, dtype=float)
-    if target.shape != (3,) or target.min() < -1e-12 or abs(target.sum() - 1.0) > 1e-6:
-        raise ValueError("target must be a 3-vector on the simplex")
-    state0 = uniform_g1_state(scheme)
+    (from a uniform start, after duration_ms) is L1-closest to the target.
 
-    def predict(q: int, power: float) -> np.ndarray:
-        if power == 0.0:
-            return state0.g1_distribution()
-        cfg = PumpConfig(q, power, beam_diameter_mm, duration_ms)
-        rates = pump_rate_matrix(scheme, cfg, coupling)
-        return evolve_populations(rates, state0, duration_ms).g1_distribution()
+    The pump enters the rates only through f = s/(1+s), and the rate matrix
+    is affine in f: R(f) = R0 + (f/f_max)(R_max - R0), with R0 at zero power
+    and R_max at MAX_POWER_MW.  Each polarization therefore needs two rate
+    matrices and one search over u = f/f_max in [0, 1]: a uniform grid, then
+    golden-section refinement on the best grid point's neighbouring cells.
+    The power reported for u is f/(1-f) per unit saturation, written without
+    cancellation as MAX_POWER_MW * u / (1 + s_max (1 - u)), so u = 0 is 0 mW
+    and u = 1 is exactly the cap."""
+    target = np.asarray(target, dtype=float)
+    if (target.shape != (3,) or not np.isfinite(target).all()
+            or target.min() < -1e-12 or abs(target.sum() - 1.0) > 1e-6):
+        raise ValueError("target must be a finite 3-vector on the simplex")
+    state0 = uniform_g1_state(scheme)
+    s_max = PumpConfig(-1, MAX_POWER_MW, beam_diameter_mm, duration_ms).saturation
 
     best = None
-    powers = np.concatenate([[0.0], np.geomspace(1e-3, max_power_mw, 60)])
     for q in (-1, 0, 1):
-        dists = [float(np.abs(predict(q, p) - target).sum()) for p in powers]
-        k = int(np.argmin(dists))
-        # local bisection refinement around the grid minimum
-        lo = powers[max(k - 1, 0)]
-        hi = powers[min(k + 1, len(powers) - 1)]
-        for _ in range(30):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if np.abs(predict(q, m1) - target).sum() <= np.abs(predict(q, m2) - target).sum():
-                hi = m2
+        r0 = pump_rate_matrix(scheme, PumpConfig(q, 0.0, beam_diameter_mm, duration_ms),
+                              coupling)
+        r1 = pump_rate_matrix(scheme, PumpConfig(q, MAX_POWER_MW, beam_diameter_mm,
+                                                 duration_ms), coupling) - r0
+
+        def score(u):
+            pred = evolve_populations(r0 + u * r1, state0, duration_ms).g1_distribution()
+            return float(np.abs(pred - target).sum()), u, pred
+
+        grid = [score(u) for u in np.linspace(0.0, 1.0, GRID_POINTS)]
+        k = int(np.argmin([c[0] for c in grid]))
+        lo, hi = grid[max(k - 1, 0)][1], grid[min(k + 1, GRID_POINTS - 1)][1]
+        a, b = score(hi - GOLDEN * (hi - lo)), score(lo + GOLDEN * (hi - lo))
+        for _ in range(GOLDEN_STEPS):
+            if a[0] <= b[0]:
+                hi, b = b[1], a
+                a = score(hi - GOLDEN * (hi - lo))
             else:
-                lo = m1
-        power = 0.5 * (lo + hi)
-        pred = predict(q, power)
-        dist = float(np.abs(pred - target).sum())
-        grid_best = (dists[k], powers[k])
-        if grid_best[0] < dist:
-            dist, power = grid_best
-            pred = predict(q, power)
+                lo, a = a[1], b
+                b = score(lo + GOLDEN * (hi - lo))
+        dist, u, pred = min(grid[k], a, b, key=lambda c: c[0])
         if best is None or dist < best.target_distance:
+            power = MAX_POWER_MW * u / (1.0 + s_max * (1.0 - u))
             best = PumpPlan(q, float(power), pred, dist)
     return best

@@ -78,6 +78,13 @@ class TestSynth:
         assert proc.returncode != 0
         assert "--pops must be three non-negative numbers" in proc.stderr
 
+    @pytest.mark.parametrize("pops", ["nan,1,1", "inf,1,1"])
+    def test_non_finite_pops_rejected(self, tmp_path, pops):
+        proc = run_cli(["synth", "--pops", pops], tmp_path)
+        assert proc.returncode == 1
+        assert "--pops must be three non-negative numbers" in proc.stderr
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestFit:
     def test_round_trip_recovers_populations(self, tmp_path, synth_csv):
@@ -135,6 +142,14 @@ class TestPumpDesign:
         assert proc.returncode == 2
         assert "target not reachable" in proc.stderr
         assert float(read_kv(out)["target_distance"]) > 0.02
+
+    @pytest.mark.parametrize("target", ["nan,1,1", "1,inf,0"])
+    def test_non_finite_target_rejected(self, tmp_path, target):
+        out = tmp_path / "plan.txt"
+        proc = run_cli(["pump-design", "--target", target, "--out", str(out)], tmp_path)
+        assert proc.returncode == 1
+        assert "--target must be three non-negative numbers" in proc.stderr
+        assert not out.exists()
 
     def test_target_required(self, tmp_path):
         proc = run_cli(["pump-design"], tmp_path)

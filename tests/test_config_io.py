@@ -19,20 +19,19 @@ class TestParseConfig:
         assert cfg.n_f1 == 1.2e11
         assert cfg.path_length == 2.0
         assert cfg.wavelength == pytest.approx(795.0, abs=0.1)
-        assert cfg.pump_power == 13.6
 
     def test_overrides(self):
         cfg = parse_config(
             "[experiment]\nomega_c = 40\nb_field = 0\n"
             "[scan]\nstart = -50\nstop = 50\nstep = 0.5\n"
             "[fit]\ndensity = off\n"
-            "[pump]\npolarization = 1\n"
+            "[pump]\nduration = 0.05\n"
         )
         assert cfg.omega_c == 40.0
         assert cfg.b_field == 0.0
         assert cfg.scan_step == 0.5
         assert cfg.fit_density is False
-        assert cfg.pump_polarization == 1
+        assert cfg.pump_duration == 0.05
 
     def test_unknown_field_named_in_error(self):
         with pytest.raises(ConfigError, match="experiment.bogus"):
@@ -42,6 +41,11 @@ class TestParseConfig:
             parse_config("[fit]\ninit = 0.2, 0.3, 0.5\n")
         with pytest.raises(ConfigError, match="unknown config field fit.multistart"):
             parse_config("[fit]\nmultistart = off\n")
+        # removed keys: pump-design chooses polarization and power itself
+        with pytest.raises(ConfigError, match="unknown config field pump.polarization"):
+            parse_config("[pump]\npolarization = 1\n")
+        with pytest.raises(ConfigError, match="unknown config field pump.power"):
+            parse_config("[pump]\npower = 13.6\n")
 
     def test_bad_value_named_in_error(self):
         with pytest.raises(ConfigError, match="scan.step"):

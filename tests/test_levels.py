@@ -109,6 +109,14 @@ class TestLevelScheme:
             for v in vals:
                 assert v == pytest.approx(vals[0], rel=1e-12)
 
+    def test_index_is_position_in_sublevels(self):
+        for include_e1 in (False, True):
+            scheme = build_level_scheme(0.15, include_e1=include_e1)
+            for i, lvl in enumerate(scheme.sublevels):
+                assert scheme.index(Sublevel(lvl.manifold, lvl.m)) == i
+        with pytest.raises(ValueError, match="not in the level scheme"):
+            build_level_scheme(0.15).index(s(Manifold.E1, 0))
+
     def test_immutable_sharing(self):
         scheme = build_level_scheme(0.15)
         with pytest.raises(AttributeError):

@@ -5,12 +5,12 @@ from mdsr.bloch import LaserField
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.pumping import (
     DEFAULT_PUMP_DURATION_MS,
+    MAX_POWER_MW,
     PopulationState,
     PumpConfig,
     design_pump,
     evolve_populations,
     pump_rate_matrix,
-    steady_populations,
     uniform_g1_state,
 )
 
@@ -74,6 +74,23 @@ class TestRateMatrix:
         i = scheme16.index(Sublevel(Manifold.G1, -1))
         assert rates[i, i] == 0.0
 
+    @pytest.mark.parametrize("q", [-1, 0, 1])
+    def test_affine_in_saturation_factor(self, scheme16, q):
+        # R(f) = R0 + (f / f_max)(R_max - R0) with f = s / (1 + s): the
+        # identity design_pump searches on
+        def rates(power):
+            return pump_rate_matrix(scheme16, PumpConfig(q, power), COUPLING)
+
+        def f(power):
+            s = PumpConfig(q, power).saturation
+            return s / (1.0 + s)
+
+        r0, r_max = rates(0.0), rates(MAX_POWER_MW)
+        for power in (0.01, 0.3, 5.0):
+            affine = r0 + f(power) / f(MAX_POWER_MW) * (r_max - r0)
+            exact = rates(power)
+            assert np.abs(affine - exact).max() <= 1e-12 * np.abs(exact).max()
+
     def test_population_conserved_under_evolution(self, scheme16):
         state = uniform_g1_state(scheme16)
         rates = pump_rate_matrix(scheme16, PumpConfig(0, 3.0), COUPLING)
@@ -94,13 +111,6 @@ class TestDarkStateLimits:
         # F=2; purity is defined within the F=1 manifold
         assert final.manifold_total(Manifold.G1) + final.manifold_total(Manifold.G2) \
             == pytest.approx(1.0, abs=1e-9)
-
-    def test_steady_state_matches_long_evolution(self, scheme16):
-        rates = pump_rate_matrix(scheme16, PumpConfig(-1, 10.0, 2.0), COUPLING)
-        state0 = uniform_g1_state(scheme16)
-        ss = steady_populations(rates, state0)
-        long = evolve_populations(rates, state0, 50.0)
-        assert np.abs(ss.pops - long.pops).max() < 1e-6
 
     def test_purity_monotone_in_time(self, scheme16):
         rates = pump_rate_matrix(scheme16, PumpConfig(-1, 5.0), COUPLING)
@@ -146,3 +156,32 @@ class TestDesignPump:
     def test_rejects_off_simplex_target(self, scheme16):
         with pytest.raises(ValueError):
             design_pump(np.array([0.5, 0.5, 0.5]), scheme16, COUPLING)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_target(self, scheme16, bad):
+        with pytest.raises(ValueError, match="finite"):
+            design_pump(np.array([bad, 0.5, 0.5]), scheme16, COUPLING)
+
+    @pytest.mark.parametrize("b_field", [0.0, 0.5])
+    @pytest.mark.parametrize("q", [-1, 0, 1])
+    @pytest.mark.parametrize("power", [0.01, 0.3, 5.0])
+    def test_recovers_reachable_target(self, b_field, q, power):
+        # the target is what (q, power) gives; the plan must reach it and
+        # re-evaluate to its own prediction through the rate builder
+        scheme = build_level_scheme(b_field, include_e1=True)
+        state0 = uniform_g1_state(scheme)
+
+        def predict(q, power):
+            rates = pump_rate_matrix(scheme, PumpConfig(q, power), COUPLING)
+            return evolve_populations(rates, state0, DEFAULT_PUMP_DURATION_MS).g1_distribution()
+
+        target = predict(q, power)
+        plan = design_pump(target, scheme, COUPLING)
+        dist = float(np.abs(plan.predicted - target).sum())
+        assert plan.target_distance == pytest.approx(dist, abs=1e-15)
+        # perfbench's bound is 1e-3; the grid alone gets within 3.4e-4 here,
+        # so the golden-section refinement is what brings it under 1e-8
+        assert dist <= 1e-8
+        assert 0.0 <= plan.power_mw <= MAX_POWER_MW
+        again = predict(plan.polarization, plan.power_mw)
+        assert np.abs(again - plan.predicted).max() <= 1e-12
