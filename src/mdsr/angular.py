@@ -4,12 +4,20 @@ Factorials are kept as exact integers (``fractions.Fraction`` for the
 rational parts), with a single float square root at the end, so values
 are exact to machine precision for the small angular momenta used here.
 Condon-Shortley phases throughout.
+
+``wigner3j`` and ``wigner6j`` are memoized (``functools.lru_cache``,
+unbounded): they are pure functions of hashable arguments, so a level
+scheme built again in the same process reuses its symbols instead of
+redoing the Racah sums.  Arguments that raise are not cached and raise on
+every call.  The undecorated functions are ``wigner3j.__wrapped__`` and
+``wigner6j.__wrapped__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, sqrt
 from numbers import Real
 
@@ -77,6 +85,7 @@ def _triangle_coeff_sq(tj1: int, tj2: int, tj3: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3-j symbol; 0 when any selection rule fails.
 
@@ -126,6 +135,7 @@ def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
     return sign * float(total) * sqrt(float(norm_sq))
 
 
+@lru_cache(maxsize=None)
 def wigner6j(j1, j2, j3, j4, j5, j6) -> float:
     """Wigner 6-j symbol {j1 j2 j3; j4 j5 j6}; 0 when any triad fails the triangle rule."""
     t = [_twice(j) for j in (j1, j2, j3, j4, j5, j6)]

@@ -110,9 +110,8 @@ def cmd_pump_design(args) -> int:
     from .levels import build_level_scheme
 
     scheme = build_level_scheme(cfg.b_field, include_e1=True)
-    model = cfg.experiment_model()
     plan = design_pump(
-        target, scheme, model.coupling,
+        target, scheme, cfg.coupling_field(),
         duration_ms=cfg.pump_duration,
         beam_diameter_mm=cfg.pump_beam_diameter,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .bloch import DecayModel, LaserField
@@ -52,6 +53,10 @@ class RunConfig:
             if not cond:
                 raise ConfigError(f"{name} out of range: {value!r}")
 
+        for (section, key), (attr, kind) in _FIELD_MAP.items():
+            if kind is float:
+                value = getattr(self, attr)
+                check(math.isfinite(value), f"{section}.{key}", value)
         check(0 <= self.omega_c <= 500, "experiment.omega_c", self.omega_c)
         check(0 <= self.omega_p <= 500, "experiment.omega_p", self.omega_p)
         check(1e9 <= self.n_f1 <= 1e13, "experiment.n_f1", self.n_f1)
@@ -69,12 +74,15 @@ class RunConfig:
 
     # --- derived model objects -------------------------------------------
 
+    def coupling_field(self) -> LaserField:
+        """The pi coupling beam on F=2 -> F'=2; needs no level scheme."""
+        return LaserField(0, self.omega_c, self.coupling_detuning, (Manifold.G2, Manifold.E2))
+
     def experiment_model(self) -> ExperimentModel:
         scheme = build_level_scheme(self.b_field)
         return ExperimentModel(
             scheme=scheme,
-            coupling=LaserField(0, self.omega_c, self.coupling_detuning,
-                                (Manifold.G2, Manifold.E2)),
+            coupling=self.coupling_field(),
             probe=LaserField(-1, self.omega_p, 0.0, (Manifold.G1, Manifold.E2)),
             decay=DecayModel(self.gamma_ab, self.gamma_ac),
             n_f1=self.n_f1,

@@ -41,12 +41,12 @@ class PumpConfig:
     def __post_init__(self):
         if self.polarization not in (-1, 0, 1):
             raise ValueError("polarization must be -1, 0 or +1")
-        if self.power_mw < 0:
-            raise ValueError("power must be >= 0")
-        if self.beam_diameter_mm <= 0:
-            raise ValueError("beam diameter must be > 0")
-        if self.duration_ms <= 0:
-            raise ValueError("duration must be > 0")
+        if not (math.isfinite(self.power_mw) and self.power_mw >= 0):
+            raise ValueError("power must be finite and >= 0")
+        if not (math.isfinite(self.beam_diameter_mm) and self.beam_diameter_mm > 0):
+            raise ValueError("beam diameter must be finite and > 0")
+        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
+            raise ValueError("duration must be finite and > 0")
 
     @property
     def saturation(self) -> float:
@@ -67,8 +67,8 @@ class PopulationState:
         object.__setattr__(self, "pops", p)
         if p.shape != (self.scheme.dim,):
             raise ValueError("population vector does not match scheme dimension")
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("populations must be non-negative and sum to 1")
+        if not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError("populations must be finite, non-negative and sum to 1")
 
     def population(self, s: Sublevel) -> float:
         return float(self.pops[self.scheme.index(s)])
@@ -79,17 +79,25 @@ class PopulationState:
 
     def g1_distribution(self) -> np.ndarray:
         """Normalized distribution over a_-1, a_0, a_+1 (uniform if G1 is empty)."""
-        g1 = np.array([self.population(Sublevel(Manifold.G1, m)) for m in (-1, 0, 1)])
-        total = g1.sum()
-        if total <= 0:
-            return np.full(3, 1.0 / 3.0)
-        return g1 / total
+        return _g1_shares(self.pops, _g1_index(self.scheme))
+
+
+def _g1_index(scheme: LevelScheme) -> list:
+    """Positions of a_-1, a_0, a_+1 in the scheme."""
+    return [scheme.index(Sublevel(Manifold.G1, m)) for m in (-1, 0, 1)]
+
+
+def _g1_shares(pops: np.ndarray, g1: list) -> np.ndarray:
+    """G1 distribution of each population vector in a stack (..., n); a
+    vector with no G1 population gives the uniform distribution."""
+    shares = pops[..., g1]
+    total = shares.sum(axis=-1, keepdims=True)
+    return np.divide(shares, total, out=np.full_like(shares, 1.0 / 3.0), where=total > 0)
 
 
 def uniform_g1_state(scheme: LevelScheme) -> PopulationState:
     p = np.zeros(scheme.dim)
-    for m in (-1, 0, 1):
-        p[scheme.index(Sublevel(Manifold.G1, m))] = 1.0 / 3.0
+    p[_g1_index(scheme)] = 1.0 / 3.0
     return PopulationState(scheme, p)
 
 
@@ -138,18 +146,23 @@ def pump_rate_matrix(scheme: LevelScheme, pump: PumpConfig,
     return rate
 
 
+def _propagate(rates: np.ndarray, pops0: np.ndarray, t_ms: float) -> np.ndarray:
+    """expm(R t) p0 for a rate matrix or a stack of them (..., n, n), clipped
+    at 0 and renormalized: the one propagator of this module."""
+    from scipy.linalg import expm  # deferred: synth and fit never need scipy
+
+    p = np.maximum(expm(rates * t_ms) @ pops0, 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 def evolve_populations(rates: np.ndarray, state0: PopulationState,
                        t_ms: float) -> PopulationState:
     """Propagate dp/dt = R p for t_ms by matrix exponential."""
-    from scipy.linalg import expm  # deferred: synth and fit never need scipy
-
-    if t_ms < 0:
-        raise ValueError("time must be >= 0")
+    if not (math.isfinite(t_ms) and t_ms >= 0):
+        raise ValueError("time must be finite and >= 0")
     if t_ms == 0:
         return state0
-    p = expm(rates * t_ms) @ state0.pops
-    p = np.maximum(p, 0.0)
-    return PopulationState(state0.scheme, p / p.sum())
+    return PopulationState(state0.scheme, _propagate(rates, state0.pops, t_ms))
 
 
 def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
@@ -163,40 +176,64 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     and R_max at MAX_POWER_MW.  Each polarization therefore needs two rate
     matrices and one search over u = f/f_max in [0, 1]: a uniform grid, then
     golden-section refinement on the best grid point's neighbouring cells.
+    The three polarizations are searched in lockstep, so the grid is one
+    batched matrix exponential and each golden-section step is another.
     The power reported for u is f/(1-f) per unit saturation, written without
     cancellation as MAX_POWER_MW * u / (1 + s_max (1 - u)), so u = 0 is 0 mW
-    and u = 1 is exactly the cap."""
+    and u = 1 is exactly the cap.  The chosen plan's prediction is
+    re-evaluated through evolve_populations."""
     target = np.asarray(target, dtype=float)
     if (target.shape != (3,) or not np.isfinite(target).all()
             or target.min() < -1e-12 or abs(target.sum() - 1.0) > 1e-6):
         raise ValueError("target must be a finite 3-vector on the simplex")
-    state0 = uniform_g1_state(scheme)
     s_max = PumpConfig(-1, MAX_POWER_MW, beam_diameter_mm, duration_ms).saturation
+    state0 = uniform_g1_state(scheme)
+    g1 = _g1_index(scheme)
+    pols = (-1, 0, 1)
+    r0 = np.array([pump_rate_matrix(scheme, PumpConfig(q, 0.0, beam_diameter_mm,
+                                                       duration_ms), coupling)
+                   for q in pols])
+    r1 = np.array([pump_rate_matrix(scheme, PumpConfig(q, MAX_POWER_MW, beam_diameter_mm,
+                                                       duration_ms), coupling)
+                   for q in pols]) - r0
 
-    best = None
-    for q in (-1, 0, 1):
-        r0 = pump_rate_matrix(scheme, PumpConfig(q, 0.0, beam_diameter_mm, duration_ms),
-                              coupling)
-        r1 = pump_rate_matrix(scheme, PumpConfig(q, MAX_POWER_MW, beam_diameter_mm,
-                                                 duration_ms), coupling) - r0
+    def score(us, which):
+        """(L1 distance, u) at us[j] on polarization which[j], from one batched expm."""
+        us = np.asarray(us)
+        pred = _g1_shares(_propagate(r0[which] + us[:, None, None] * r1[which],
+                                     state0.pops, duration_ms), g1)
+        return list(zip(np.abs(pred - target).sum(axis=-1).tolist(), us.tolist()))
 
-        def score(u):
-            pred = evolve_populations(r0 + u * r1, state0, duration_ms).g1_distribution()
-            return float(np.abs(pred - target).sum()), u, pred
-
-        grid = [score(u) for u in np.linspace(0.0, 1.0, GRID_POINTS)]
-        k = int(np.argmin([c[0] for c in grid]))
-        lo, hi = grid[max(k - 1, 0)][1], grid[min(k + 1, GRID_POINTS - 1)][1]
-        a, b = score(hi - GOLDEN * (hi - lo)), score(lo + GOLDEN * (hi - lo))
-        for _ in range(GOLDEN_STEPS):
-            if a[0] <= b[0]:
-                hi, b = b[1], a
-                a = score(hi - GOLDEN * (hi - lo))
+    lanes = list(range(len(pols)))
+    grid = score(np.tile(np.linspace(0.0, 1.0, GRID_POINTS), len(pols)),
+                 np.repeat(lanes, GRID_POINTS))
+    grid = [grid[i * GRID_POINTS:(i + 1) * GRID_POINTS] for i in lanes]
+    ks = [int(np.argmin([c[0] for c in g])) for g in grid]
+    lo = [g[max(k - 1, 0)][1] for g, k in zip(grid, ks)]
+    hi = [g[min(k + 1, GRID_POINTS - 1)][1] for g, k in zip(grid, ks)]
+    ab = score([h - GOLDEN * (h - l) for l, h in zip(lo, hi)]
+               + [l + GOLDEN * (h - l) for l, h in zip(lo, hi)], lanes + lanes)
+    a, b = ab[:len(pols)], ab[len(pols):]
+    for _ in range(GOLDEN_STEPS):
+        left = [a[i][0] <= b[i][0] for i in lanes]
+        for i in lanes:
+            if left[i]:
+                hi[i], b[i] = b[i][1], a[i]
             else:
-                lo, a = a[1], b
-                b = score(lo + GOLDEN * (hi - lo))
-        dist, u, pred = min(grid[k], a, b, key=lambda c: c[0])
-        if best is None or dist < best.target_distance:
-            power = MAX_POWER_MW * u / (1.0 + s_max * (1.0 - u))
-            best = PumpPlan(q, float(power), pred, dist)
-    return best
+                lo[i], a[i] = a[i][1], b[i]
+        probes = [hi[i] - GOLDEN * (hi[i] - lo[i]) if left[i] else
+                  lo[i] + GOLDEN * (hi[i] - lo[i]) for i in lanes]
+        for i, new in zip(lanes, score(probes, lanes)):
+            if left[i]:
+                a[i] = new
+            else:
+                b[i] = new
+
+    # per polarization the better of the grid point and the refined pair;
+    # min keeps the first of equal distances, here and across polarizations
+    picks = [min(grid[i][ks[i]], a[i], b[i], key=lambda c: c[0]) for i in lanes]
+    i = min(lanes, key=lambda i: picks[i][0])
+    dist, u = picks[i]
+    predicted = evolve_populations(r0[i] + u * r1[i], state0, duration_ms).g1_distribution()
+    power = MAX_POWER_MW * u / (1.0 + s_max * (1.0 - u))
+    return PumpPlan(pols[i], float(power), predicted, dist)

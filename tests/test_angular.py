@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -113,3 +114,46 @@ class TestWigner6j:
         except ValueError:
             ref = 0.0
         assert mine == pytest.approx(ref, abs=1e-13)
+
+
+@pytest.fixture()
+def cold_cache():
+    # start with a miss on every call, and do not keep the ~10^5 entries
+    wigner3j.cache_clear()
+    wigner6j.cache_clear()
+    yield
+    wigner3j.cache_clear()
+    wigner6j.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_cache")
+class TestMemoized:
+    # the sympy comparison range: every doubled j in 0..6
+    TJ = range(0, 7)
+
+    def test_wigner3j_cache_matches_racah_sum(self):
+        for tj1 in self.TJ:
+            for tj2 in self.TJ:
+                for tj3 in self.TJ:
+                    for tm1 in range(-tj1, tj1 + 1, 2):
+                        for tm2 in range(-tj2, tj2 + 1, 2):
+                            args = tuple(t / 2 for t in (tj1, tj2, tj3, tm1, tm2, -tm1 - tm2))
+                            exact = wigner3j.__wrapped__(*args)
+                            assert wigner3j(*args) == exact
+                            assert wigner3j(*args) == exact  # now served from the cache
+
+    def test_wigner6j_cache_matches_racah_sum(self):
+        for tjs in itertools.product(self.TJ, repeat=6):
+            args = tuple(t / 2 for t in tjs)
+            exact = wigner6j.__wrapped__(*args)
+            assert wigner6j(*args) == exact
+            assert wigner6j(*args) == exact
+
+    def test_malformed_arguments_raise_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                wigner3j(0.4, 1, 1, 0, 0, 0)
+            with pytest.raises(ValueError):
+                wigner6j(1, 1, 1, 1, 1, 0.3)
+            with pytest.raises(TypeError):
+                wigner3j("1", 1, 1, 0, 0, 0)

@@ -151,6 +151,27 @@ class TestPumpDesign:
         assert "--target must be three non-negative numbers" in proc.stderr
         assert not out.exists()
 
+    def test_builds_one_level_scheme(self, monkeypatch, capsys):
+        # the plan needs the 16-level scheme and the coupling beam; the beam
+        # comes from the config, not from a second (13-level) scheme
+        import mdsr.cli
+        import mdsr.config
+        import mdsr.levels
+
+        built = []
+        real = mdsr.levels.build_level_scheme
+
+        def counting(*args, **kwargs):
+            built.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mdsr.levels, "build_level_scheme", counting)
+        monkeypatch.setattr(mdsr.config, "build_level_scheme", counting)
+        code = mdsr.cli.main(["pump-design", "--target", "0.2,0.3,0.5"])
+        assert code in (0, 2)
+        assert "pump design:" in capsys.readouterr().out
+        assert built == [((0.15,), {"include_e1": True})]
+
     def test_target_required(self, tmp_path):
         proc = run_cli(["pump-design"], tmp_path)
         assert proc.returncode != 0

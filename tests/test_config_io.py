@@ -57,6 +57,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="experiment.n_f1"):
             parse_config("[experiment]\nn_f1 = 1\n")
 
+    @pytest.mark.parametrize("section,key", [
+        ("pump", "duration"), ("pump", "beam_diameter"), ("experiment", "path_length"),
+        ("experiment", "wavelength"), ("experiment", "gamma_ac"), ("scan", "step"),
+        ("scan", "stop"), ("experiment", "coupling_detuning"),
+    ])
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_non_finite_named_in_error(self, section, key, raw):
+        with pytest.raises(ConfigError, match=f"{section}.{key} out of range"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+
     def test_malformed_syntax(self):
         with pytest.raises(ConfigError):
             parse_config("not an ini file")
@@ -75,6 +85,10 @@ class TestParseConfig:
             grid = RunConfig(scan_step=160.0 / (n - 1)).scan_grid()
             assert len(grid) == n
             assert grid[-1] == pytest.approx(80.0, abs=1e-9)
+
+    def test_coupling_field_is_the_model_coupling(self):
+        cfg = parse_config("[experiment]\nomega_c = 40\ncoupling_detuning = 3\n")
+        assert cfg.coupling_field() == cfg.experiment_model().coupling
 
     def test_experiment_model_roundtrip(self):
         model = parse_config("").experiment_model()

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mdsr.bloch import LaserField
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
@@ -38,6 +41,12 @@ class TestPumpConfig:
         with pytest.raises(ValueError):
             PumpConfig(0, 1.0, duration_ms=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["power_mw", "beam_diameter_mm", "duration_ms"])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PumpConfig(0, **{"power_mw": 1.0, field: bad})
+
 
 class TestPopulationState:
     def test_uniform_start(self, scheme16):
@@ -50,6 +59,13 @@ class TestPopulationState:
             PopulationState(scheme16, np.zeros(scheme16.dim))
         with pytest.raises(ValueError):
             PopulationState(scheme16, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_vector(self, scheme16, bad):
+        p = uniform_g1_state(scheme16).pops.copy()
+        p[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PopulationState(scheme16, p)
 
     def test_empty_g1_distribution_is_uniform(self, scheme16):
         p = np.zeros(scheme16.dim)
@@ -98,6 +114,12 @@ class TestRateMatrix:
             evolved = evolve_populations(rates, state, t)
             assert evolved.pops.sum() == pytest.approx(1.0, abs=1e-12)
             assert evolved.pops.min() >= 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_evolution_rejects_bad_time(self, scheme16, bad):
+        rates = pump_rate_matrix(scheme16, PumpConfig(0, 3.0), COUPLING)
+        with pytest.raises(ValueError, match="time"):
+            evolve_populations(rates, uniform_g1_state(scheme16), bad)
 
 
 class TestDarkStateLimits:
@@ -162,6 +184,12 @@ class TestDesignPump:
         with pytest.raises(ValueError, match="finite"):
             design_pump(np.array([bad, 0.5, 0.5]), scheme16, COUPLING)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["duration_ms", "beam_diameter_mm"])
+    def test_rejects_non_finite_setting(self, scheme16, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            design_pump(np.full(3, 1 / 3), scheme16, COUPLING, **{field: bad})
+
     @pytest.mark.parametrize("b_field", [0.0, 0.5])
     @pytest.mark.parametrize("q", [-1, 0, 1])
     @pytest.mark.parametrize("power", [0.01, 0.3, 5.0])
@@ -185,3 +213,61 @@ class TestDesignPump:
         assert 0.0 <= plan.power_mw <= MAX_POWER_MW
         again = predict(plan.polarization, plan.power_mw)
         assert np.abs(again - plan.predicted).max() <= 1e-12
+
+
+def scalar_design(target, scheme, coupling, duration_ms):
+    """The search one polarization at a time with one expm per point, as
+    design_pump ran it before the polarizations were searched in lockstep:
+    the reference the batched search must reproduce bit for bit.  The grid
+    size, step count and ratio are literals so that a change to
+    GRID_POINTS, GOLDEN_STEPS or GOLDEN shows here too."""
+    grid_points, golden_steps, golden = 33, 40, (math.sqrt(5.0) - 1.0) / 2.0
+    p0 = uniform_g1_state(scheme).pops
+    g1 = [scheme.index(Sublevel(Manifold.G1, m)) for m in (-1, 0, 1)]
+    s_max = PumpConfig(-1, MAX_POWER_MW, 2.0, duration_ms).saturation
+
+    best = None
+    for q in (-1, 0, 1):
+        r0 = pump_rate_matrix(scheme, PumpConfig(q, 0.0, 2.0, duration_ms), coupling)
+        r1 = pump_rate_matrix(scheme, PumpConfig(q, MAX_POWER_MW, 2.0, duration_ms),
+                              coupling) - r0
+
+        def score(u):
+            p = np.maximum(expm((r0 + u * r1) * duration_ms) @ p0, 0.0)
+            p = p / p.sum()
+            shares = np.array([p[i] for i in g1])
+            pred = shares / shares.sum() if shares.sum() > 0 else np.full(3, 1.0 / 3.0)
+            return float(np.abs(pred - target).sum()), u, pred
+
+        grid = [score(u) for u in np.linspace(0.0, 1.0, grid_points)]
+        k = int(np.argmin([c[0] for c in grid]))
+        lo, hi = grid[max(k - 1, 0)][1], grid[min(k + 1, grid_points - 1)][1]
+        a, b = score(hi - golden * (hi - lo)), score(lo + golden * (hi - lo))
+        for _ in range(golden_steps):
+            if a[0] <= b[0]:
+                hi, b = b[1], a
+                a = score(hi - golden * (hi - lo))
+            else:
+                lo, a = a[1], b
+                b = score(lo + golden * (hi - lo))
+        dist, u, pred = min(grid[k], a, b, key=lambda c: c[0])
+        if best is None or dist < best[3]:
+            best = (q, float(MAX_POWER_MW * u / (1.0 + s_max * (1.0 - u))), pred, dist)
+    return best
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("b_field", [0.0, 0.15, 0.5, 0.9])
+    def test_matches_scalar_search(self, b_field):
+        scheme = build_level_scheme(b_field, include_e1=True)
+        targets = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0.8, 0.1, 0.1), (0.2, 0.3, 0.5),
+                   (0.5, 0.5, 0)]
+        for target in targets:
+            target = np.array(target, dtype=float) / sum(target)
+            for duration in (2e-4, 1e-3, 0.05):
+                plan = design_pump(target, scheme, COUPLING, duration_ms=duration)
+                q, power, pred, dist = scalar_design(target, scheme, COUPLING, duration)
+                assert plan.polarization == q
+                assert plan.power_mw == power
+                assert np.array_equal(plan.predicted, pred)
+                assert plan.target_distance == dist
