@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .fitting import FitProblem, fit_populations
-from .io import format_float, read_spectrum, write_spectrum
+from .io import format_float, read_spectrum, write_spectrum, write_text
 from .pumping import design_pump
 from .spectrum import PopulationDistribution, add_noise, synth_spectrum
 from .validate import run_checks
@@ -53,7 +54,7 @@ def cmd_synth(args) -> int:
     print(f"wrote {len(spectrum)} points to {out}")
     if args.noise and args.noise > 0:
         noisy = add_noise(spectrum, args.noise, args.seed)
-        noisy_path = out.rsplit(".", 1)[0] + "_noisy.csv"
+        noisy_path = os.path.splitext(out)[0] + "_noisy.csv"
         write_spectrum(noisy, noisy_path)
         print(f"wrote noisy copy (sigma={args.noise:g}, seed={args.seed}) to {noisy_path}")
     return EXIT_OK
@@ -98,8 +99,7 @@ def cmd_fit(args) -> int:
             f"converged = {str(result.converged).lower()}",
             f"jacobian_condition = {format_float(result.jacobian_condition)}",
         ]
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote result to {args.out}")
     return EXIT_OK if result.converged else EXIT_NOT_MET
 
@@ -134,8 +134,7 @@ def cmd_pump_design(args) -> int:
             f"predicted_p_plus = {format_float(pred[2])}",
             f"target_distance = {format_float(plan.target_distance)}",
         ]
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote plan to {args.out}")
     miss = float(np.abs(pred - target).max())
     if miss > PUMP_TARGET_TOLERANCE:

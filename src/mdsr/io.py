@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 from .spectrum import Spectrum
@@ -17,12 +20,31 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 with LF endings, overwriting in place.
+
+    The file is opened without O_TRUNC and cut to length after the write.
+    Truncating to zero on open makes ext4 (with its default `auto_da_alloc`)
+    start a writeback of the file on close, and the next truncating open of
+    the same path waits for it: about 50 ms for a 3201-point spectrum.
+    As with `open(path, "w")`, symlinks are followed, an existing file keeps
+    its inode and permissions, and nothing is fsynced. Only a regular file is
+    truncated, so devices and FIFOs such as /dev/null still work.
+    """
+    # O_BINARY exists on Windows only; without it the descriptor would turn LF into CRLF
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_spectrum(spectrum: Spectrum, path) -> None:
-    lines = [HEADER]
-    for d, t in zip(spectrum.detunings, spectrum.transmission):
-        lines.append(f"{format_float(d)},{format_float(t)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # f"{x:.17g}" on the Python floats of .tolist() is format_float(x), without
+    # a float() call and a numpy scalar per value.
+    rows = [f"{d:.17g},{t:.17g}\n" for d, t in
+            zip(spectrum.detunings.tolist(), spectrum.transmission.tolist())]
+    write_text(path, HEADER + "\n" + "".join(rows))
 
 
 def read_spectrum(path) -> Spectrum:

@@ -183,8 +183,9 @@ def optical_depth_basis(model: ExperimentModel, grid) -> np.ndarray:
     ])
 
 
-def transmission(chi: complex, model: ExperimentModel) -> float:
-    """Beer-Lambert readout T = exp(-k L Im chi)."""
+def transmission(chi: np.ndarray | complex, model: ExperimentModel) -> np.ndarray | float:
+    """Beer-Lambert readout T = exp(-k L Im chi), elementwise: an array of
+    susceptibilities gives an array of transmissions of the same shape."""
     return np.exp(-optical_depth(chi, model))
 
 

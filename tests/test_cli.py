@@ -58,6 +58,16 @@ class TestSynth:
             digests.append((tmp_path / f"{name}_noisy.csv").read_bytes())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("out", ["./spec", "a.d/spec"])
+    def test_noisy_copy_beside_extensionless_out(self, tmp_path, out):
+        # a dot in the directory part is not the start of an extension
+        (tmp_path / "a.d").mkdir()
+        proc = run_cli(["synth", "--out", out, "--noise", "0.01"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        noisy = tmp_path / (out + "_noisy.csv")
+        assert len(read_spectrum(noisy)) == 161
+        assert sorted(p.name for p in tmp_path.rglob("*_noisy.csv")) == ["spec_noisy.csv"]
+
     def test_config_file_drives_scan(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[scan]\nstart = -10\nstop = 10\nstep = 2\n")
@@ -99,6 +109,8 @@ class TestFit:
         assert float(result["n_f1_cm3"]) == pytest.approx(1.2e11, rel=0.01)
 
     def test_deterministic_result_file(self, tmp_path, synth_csv):
+        # the second file is written over a longer stale one
+        (tmp_path / "f2.txt").write_text("stale = 1\n" * 500)
         outs = []
         for name in ("f1.txt", "f2.txt"):
             out = tmp_path / name
@@ -129,10 +141,13 @@ class TestPumpDesign:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[pump]\nduration = 0.05\n")
         out = tmp_path / "plan.txt"
+        out.write_text("stale = 1\n" * 500)
         proc = run_cli(["pump-design", "--target", "1,0,0", "--config", str(cfg),
                         "--out", str(out)], tmp_path)
         assert proc.returncode == 0, proc.stderr
         plan = read_kv(out)
+        assert list(plan) == ["polarization", "power_mw", "duration_ms", "predicted_p_minus",
+                              "predicted_p_zero", "predicted_p_plus", "target_distance"]
         assert plan["polarization"] == "-1"
         assert float(plan["target_distance"]) < 0.02
 

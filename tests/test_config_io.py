@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from mdsr.config import ConfigError, RunConfig, load_config, parse_config
-from mdsr.io import SpectrumFormatError, read_spectrum, write_spectrum
+from mdsr.io import (HEADER, SpectrumFormatError, format_float, read_spectrum,
+                     write_spectrum, write_text)
 from mdsr.spectrum import PopulationDistribution, Spectrum, synth_spectrum
 
 from conftest import make_model
@@ -161,3 +164,52 @@ class TestSpectrumIO:
         path = tmp_path / "s.csv"
         path.write_text("detuning_mhz,transmission\n0,0.5\n\n1,0.6\n")
         assert len(read_spectrum(path)) == 2
+
+    @pytest.mark.parametrize("points", [0, 3201])
+    def test_bytes_match_format_float_rows(self, tmp_path, points):
+        # the rows are formatted from .tolist() with f"{x:.17g}"; the bytes
+        # must be those of HEADER and format_float lines joined with "\n"
+        rng = np.random.default_rng(7)
+        det = np.sort(rng.uniform(-80.0, 80.0, points))
+        tr = rng.uniform(0.0, 1.0, points)
+        tr[:3] = [0.0, 1.0, 5e-324][:points]
+        s = Spectrum(det, tr)
+        path = tmp_path / "s.csv"
+        write_spectrum(s, path)
+        lines = [HEADER] + [f"{format_float(d)},{format_float(t)}" for d, t in zip(det, tr)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = read_spectrum(path)
+        assert np.array_equal(back.transmission, tr)
+
+
+class TestWriteText:
+    def test_shorter_overwrite_leaves_no_stale_tail(self, tmp_path, grid161):
+        model = make_model()
+        pops = PopulationDistribution(0.32, 0.36, 0.32)
+        long_spec = synth_spectrum(model, pops, np.linspace(-80.0, 80.0, 3000))
+        short_spec = synth_spectrum(model, pops, grid161[:3])
+        path, fresh = tmp_path / "s.csv", tmp_path / "fresh.csv"
+        write_spectrum(long_spec, path)
+        write_spectrum(short_spec, path)
+        write_spectrum(short_spec, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert len(read_spectrum(path)) == 3
+
+    def test_creates_missing_file(self, tmp_path):
+        path = tmp_path / "new.txt"
+        write_text(path, "a = 1\n")
+        assert path.read_bytes() == b"a = 1\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null, a character device")
+    def test_device_is_written_not_truncated(self):
+        write_text(os.devnull, "a = 1\n")
+
+    def test_keeps_mode_and_inode(self, tmp_path):
+        path = tmp_path / "private.txt"
+        path.write_text("x" * 100)
+        path.chmod(0o600)
+        before = path.stat()
+        write_text(path, "é\n")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_bytes() == "é\n".encode("utf-8")
