@@ -167,7 +167,7 @@ class TestSpectrumIO:
 
     @pytest.mark.parametrize("points", [0, 3201])
     def test_bytes_match_format_float_rows(self, tmp_path, points):
-        # the rows are formatted from .tolist() with f"{x:.17g}"; the bytes
+        # the rows are formatted from .tolist() with FLOAT_FORMAT; the bytes
         # must be those of HEADER and format_float lines joined with "\n"
         rng = np.random.default_rng(7)
         det = np.sort(rng.uniform(-80.0, 80.0, points))
