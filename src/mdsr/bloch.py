@@ -7,6 +7,10 @@ population decay Gamma = 2(gamma_ac - gamma_ab) branched by squared
 dipole amplitudes, plus pure dephasing gamma_ab added to ground-ground
 and optical coherences.  With that split the weak-probe Lambda coherence
 of `lambda_coherence_analytic` is reproduced exactly by the full model.
+That function is the package's one copy of the Lambda formula: the
+production spectrum (`spectrum.susceptibility_grid`) evaluates it on whole
+detuning grids, and the checks in `validate` compare it with this module's
+Liouvillian.
 
 `weak_probe_coherences` solves the first-order probe response on one block
 of Liouville space: the coherences with a row in the probe's ground
@@ -207,30 +211,30 @@ def steady_state(
     raise SteadyStateError("steady state did not converge", res)
 
 
-def lambda_coherence_analytic(
-    omega_p: float,
-    omega_c: float,
-    delta_p: float,
-    delta_c: float,
-    gamma_ac: float,
-    gamma_ab: float,
-) -> complex:
+def lambda_coherence_analytic(omega_p, omega_c, delta_p, delta_c, gamma_ac, gamma_ab):
     """First-order weak-probe coherence of a Lambda system (all MHz).
 
     rho_ac = (i omega_p / 2) / [(gamma_ac + i delta_p)
              + (omega_c^2/4) / (gamma_ab + i(delta_p - delta_c))]
 
-    Sign convention: Im(rho_ac) >= 0 means absorption.  Valid for
+    Elementwise, with numpy broadcasting over all arguments; scalar arguments
+    give a Python complex.  Where omega_c = 0 there is no dressing term (the
+    bare line), and where omega_c != 0 on an undamped two-photon resonance
+    (gamma_ab + i(delta_p - delta_c) = 0) the coherence is 0 (perfect dark
+    state).  Sign convention: Im(rho_ac) >= 0 means absorption.  Valid for
     omega_p well below saturation; not enforced.
     """
-    denom = gamma_ac + 1j * delta_p
-    if omega_c != 0.0:
-        raman = gamma_ab + 1j * (delta_p - delta_c)
-        if raman == 0.0:
-            # undamped two-photon resonance: perfect dark state
-            return 0.0 + 0.0j
-        denom = denom + (omega_c * omega_c / 4.0) / raman
-    return (0.5j * omega_p) / denom
+    omega_c = np.asarray(omega_c, dtype=float)
+    raman = np.asarray(gamma_ab + 1j * np.subtract(delta_p, delta_c))
+    resonant = raman == 0.0
+    # a resonant entry divides by 1 instead: no dressing where omega_c = 0,
+    # and the dark-state 0 is set below where omega_c != 0.  Both guards
+    # write in place: a fresh array per guard costs more than the guard
+    # itself on a 3201-point grid.
+    np.copyto(raman, 1.0, where=resonant)
+    rho = np.asarray((0.5j * omega_p) / (gamma_ac + 1j * delta_p + (omega_c * omega_c / 4.0) / raman))
+    np.copyto(rho, 0.0, where=resonant & (omega_c != 0.0))
+    return complex(rho) if rho.ndim == 0 else rho
 
 
 def weak_probe_coherences(

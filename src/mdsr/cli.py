@@ -69,13 +69,15 @@ def cmd_fit(args) -> int:
         raise SystemExit(f"error: spectrum file not found: {args.spectrum}")
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    problem = FitProblem(
-        observed=observed,
-        model_template=model,
-        fit_density=cfg.fit_density,
-        init_density=cfg.fit_init_density,
-        max_iterations=cfg.fit_max_iterations,
-    )
+    try:
+        problem = FitProblem(
+            observed=observed,
+            model_template=model,
+            fit_density=cfg.fit_density,
+            max_iterations=cfg.fit_max_iterations,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     result = fit_populations(problem)
     p = result.pops.as_array()
     print("fitted ground-state populations (F=1):")

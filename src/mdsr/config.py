@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .bloch import DecayModel, LaserField
 from .levels import D1_WAVELENGTH_NM, Manifold, build_level_scheme
 from .pumping import DEFAULT_PUMP_DURATION_MS
-from .spectrum import ExperimentModel
+from .spectrum import N_F1_RANGE_CM3, ExperimentModel
 
 
 class ConfigError(ValueError):
@@ -34,7 +34,6 @@ class RunConfig:
     scan_stop: float = 80.0
     scan_step: float = 1.0
     # fit
-    fit_init_density: float = None
     fit_density: bool = True
     fit_max_iterations: int = 200
     # pump
@@ -44,8 +43,6 @@ class RunConfig:
     out_path: str = ""
 
     def __post_init__(self):
-        if self.fit_init_density is None:
-            self.fit_init_density = self.n_f1
         self.validate()
 
     def validate(self):
@@ -59,7 +56,8 @@ class RunConfig:
                 check(math.isfinite(value), f"{section}.{key}", value)
         check(0 <= self.omega_c <= 500, "experiment.omega_c", self.omega_c)
         check(0 <= self.omega_p <= 500, "experiment.omega_p", self.omega_p)
-        check(1e9 <= self.n_f1 <= 1e13, "experiment.n_f1", self.n_f1)
+        lo, hi = N_F1_RANGE_CM3
+        check(lo <= self.n_f1 <= hi, "experiment.n_f1", self.n_f1)
         check(0 <= self.b_field <= 10, "experiment.b_field", self.b_field)
         check(self.gamma_ab >= 0, "experiment.gamma_ab", self.gamma_ab)
         check(self.gamma_ac > self.gamma_ab, "experiment.gamma_ac", self.gamma_ac)
@@ -68,7 +66,6 @@ class RunConfig:
         check(self.scan_step > 0, "scan.step", self.scan_step)
         check(self.scan_start < self.scan_stop, "scan.start", self.scan_start)
         check(self.fit_max_iterations > 0, "fit.max_iterations", self.fit_max_iterations)
-        check(1e9 <= self.fit_init_density <= 1e13, "fit.init_density", self.fit_init_density)
         check(self.pump_beam_diameter > 0, "pump.beam_diameter", self.pump_beam_diameter)
         check(self.pump_duration > 0, "pump.duration", self.pump_duration)
 
@@ -112,7 +109,6 @@ _FIELD_MAP = {
     ("scan", "start"): ("scan_start", float),
     ("scan", "stop"): ("scan_stop", float),
     ("scan", "step"): ("scan_step", float),
-    ("fit", "init_density"): ("fit_init_density", float),
     ("fit", "density"): ("fit_density", "bool"),
     ("fit", "max_iterations"): ("fit_max_iterations", int),
     ("pump", "beam_diameter"): ("pump_beam_diameter", float),

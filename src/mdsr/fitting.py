@@ -1,7 +1,7 @@
 """Population / density inversion on the model's linear basis.
 
 The susceptibility is linear in w = n_F1 * P, so T = exp(-B x), with
-x = w / init_density >= 0 and B the per-sublevel optical depth at init_density
+x = w / n >= 0 and B the per-sublevel optical depth at the model's density n
 (`spectrum.optical_depth_basis`, built once per fit).  One solver serves every
 fit and profile point: a damped Gauss-Newton with the analytic Jacobian
 J = -T B on {x >= 0, lo <= sum(x) <= hi}, each step minimising the damped
@@ -19,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .spectrum import (
+    N_F1_RANGE_CM3,
     ExperimentModel,
     PopulationDistribution,
     Spectrum,
@@ -39,21 +40,16 @@ WARM_START_FLOOR = 0.05
 class FitProblem:
     observed: Spectrum
     model_template: ExperimentModel   # non-fitted parameters fixed
-    fit_density: bool = True
-    init_density: float = None        # the fixed density, or the density scale of a free fit
-    density_bounds: tuple = (1e9, 1e13)  # cm^-3
+    fit_density: bool = True          # else N_F1 stays at model_template.n_f1
     max_iterations: int = 200
 
     def __post_init__(self):
-        if len(self.observed) == 0:
-            raise ValueError("observed spectrum is empty")
-        if self.init_density is None:
-            object.__setattr__(self, "init_density", self.model_template.n_f1)
-        if not self.init_density > 0:
-            raise ValueError("init_density must be > 0")
-        lo, hi = self.density_bounds
-        if not (0 < lo < hi):
-            raise ValueError("invalid density bounds")
+        free = 3 if self.fit_density else 2
+        if len(self.observed) < free:
+            raise ValueError(f"observed spectrum has {len(self.observed)} points; "
+                             f"fitting {free} weights needs at least {free}")
+        if not self.model_template.n_f1 > 0:
+            raise ValueError("model_template.n_f1 must be > 0")
 
 
 @dataclass(frozen=True)
@@ -149,15 +145,14 @@ def _solve(basis: np.ndarray, observed: np.ndarray, lo: float, hi: float, max_it
 
 
 def _basis(problem: FitProblem) -> np.ndarray:
-    model = replace(problem.model_template, n_f1=problem.init_density)
-    return optical_depth_basis(model, problem.observed.detunings)
+    return optical_depth_basis(problem.model_template, problem.observed.detunings)
 
 
 def _sum_bounds(problem: FitProblem) -> tuple:
     if not problem.fit_density:
         return 1.0, 1.0
-    lo, hi = problem.density_bounds
-    return lo / problem.init_density, hi / problem.init_density
+    lo, hi = N_F1_RANGE_CM3
+    return lo / problem.model_template.n_f1, hi / problem.model_template.n_f1
 
 
 def fit_populations(problem: FitProblem) -> FitResult:
@@ -167,9 +162,9 @@ def fit_populations(problem: FitProblem) -> FitResult:
     x, _r, iterations, converged = _solve(basis, problem.observed.transmission,
                                           *_sum_bounds(problem), problem.max_iterations)
     pops = PopulationDistribution(*(x / x.sum()))
-    n = problem.init_density
+    n = problem.model_template.n_f1
     if problem.fit_density:
-        n = float(np.clip(n * x.sum(), *problem.density_bounds))
+        n = float(np.clip(n * x.sum(), *N_F1_RANGE_CM3))
     r = residuals(problem, pops, n)
     jac = np.exp(-basis @ x)[:, None] * basis
     return FitResult(
@@ -215,7 +210,7 @@ def profile_scan(problem: FitProblem, param: str, grid) -> list:
     out = []
     for value in grid:
         if param == "n_f1":
-            mapped, bounds = basis, (value / problem.init_density,) * 2
+            mapped, bounds = basis, (value / problem.model_template.n_f1,) * 2
         else:
             mapped = basis @ _pinned_population_map(PROFILE_PARAMS.index(param), value)
             bounds = lo, hi

@@ -3,7 +3,10 @@
 The total susceptibility is the population-weighted sum of three
 independent probe terms (one per F=1 ground sublevel), each a weak-probe
 Lambda (or bare two-level, where the coupling partner is forbidden)
-coherence.  The full Liouvillian solver in `bloch` serves as the
+coherence.  Every term comes from the one copy of that formula,
+`bloch.lambda_coherence_analytic`, evaluated elementwise over the detuning
+grid by `_terms`; `susceptibility_grid` and `optical_depth_basis` both read
+those terms.  The full Liouvillian solver in `bloch` serves as the
 cross-validation oracle for this additive production path.
 """
 
@@ -15,12 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import DecayModel, LaserField
+from .bloch import DecayModel, LaserField, lambda_coherence_analytic
 from .levels import LevelScheme, Manifold, Sublevel
 
 HBAR_JS = 1.054571817e-34
 EPSILON0_F_PER_M = 8.8541878128e-12
 RAD_PER_S_PER_MHZ = 2.0 * math.pi * 1.0e6
+# F=1 densities a run may set and a fit may return, cm^-3
+N_F1_RANGE_CM3 = (1e9, 1e13)
 
 
 @dataclass(frozen=True)
@@ -135,23 +140,31 @@ def _term_parameters(model: ExperimentModel):
     return (np.array(amp2), np.array(omega_c), np.array(dp_shift), np.array(dc_shift))
 
 
-def susceptibility_grid(model: ExperimentModel, pops: PopulationDistribution,
-                        deltas: np.ndarray) -> np.ndarray:
-    """Complex probe susceptibility at each detuning (MHz) in deltas:
+def _terms(model: ExperimentModel, weights: np.ndarray, deltas) -> np.ndarray:
+    """Susceptibility of each F=1 probe term (columns a_-1, a_0, a_+1) at each
+    detuning (MHz, rows), with term i weighted by population weights[i]:
 
-        chi(dp) = sum_i C * P_i * amp_i^2 * (i/2) / D_i(dp)
-        D_i = gamma_ac + i(dp - dps_i) + (wc_i^2/4) / (gamma_ab + i((dp - dps_i) - (dc - dcs_i)))
+        C * weights_i * amp_i^2 * rho_i(dp - dps_i),
 
-    with everything in linear MHz and C the dimensionless susceptibility prefactor.
+    rho_i the Lambda coherence of `lambda_coherence_analytic` at unit probe
+    Rabi frequency, its coupling detuning shifted by dcs_i, and C the
+    dimensionless susceptibility prefactor.  The weights enter before rho, in
+    that product order: a sum of unit-weight terms scaled afterwards would
+    round differently and change spectra in the last bit.
     """
     amp2, omega_c, dp_shift, dc_shift = _term_parameters(model)
     pref = susceptibility_prefactor(model.n_f1, model.scheme.reduced_dipole)
-    dp = np.asarray(deltas, dtype=np.float64)[:, None] - dp_shift[None, :]
-    two_photon = dp - (model.coupling.detuning - dc_shift)[None, :]
-    denom = model.decay.gamma_ac + 1j * dp
-    denom = denom + (omega_c[None, :] ** 2 / 4.0) / (model.decay.gamma_ab + 1j * two_photon)
-    terms = pref * pops.as_array()[None, :] * amp2[None, :] * (0.5j / denom)
-    return terms.sum(axis=1)
+    rho = lambda_coherence_analytic(
+        1.0, omega_c, np.asarray(deltas, dtype=np.float64)[:, None] - dp_shift,
+        model.coupling.detuning - dc_shift, model.decay.gamma_ac, model.decay.gamma_ab)
+    return pref * weights * amp2 * rho
+
+
+def susceptibility_grid(model: ExperimentModel, pops: PopulationDistribution,
+                        deltas: np.ndarray) -> np.ndarray:
+    """Complex probe susceptibility at each detuning (MHz) in deltas: the sum
+    of the three population-weighted probe terms."""
+    return _terms(model, pops.as_array(), deltas).sum(axis=1)
 
 
 def susceptibility(model: ExperimentModel, pops: PopulationDistribution,
@@ -176,11 +189,7 @@ def optical_depth_basis(model: ExperimentModel, grid) -> np.ndarray:
     The susceptibility is linear in the populations, so populations P give
     the transmission exp(-basis @ P).
     """
-    grid = np.asarray(grid, dtype=float)
-    return np.column_stack([
-        optical_depth(susceptibility_grid(model, PopulationDistribution(*unit), grid), model)
-        for unit in np.eye(3)
-    ])
+    return optical_depth(_terms(model, np.ones(3), grid), model)
 
 
 def transmission(chi: np.ndarray | complex, model: ExperimentModel) -> np.ndarray | float:

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mdsr.angular import HalfInteger, wigner3j, wigner6j
 
-sympy_wigner = pytest.importorskip("sympy.physics.wigner")
-
 
 class TestHalfInteger:
     def test_exact_values(self):
@@ -43,6 +41,7 @@ class TestWigner3j:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
     def test_matches_sympy(self, tj1, tj2, tj3, data):
+        sympy_wigner = pytest.importorskip("sympy.physics.wigner")
         from sympy import S
 
         tms = []
@@ -106,6 +105,7 @@ class TestWigner6j:
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*(st.integers(0, 6) for _ in range(6))))
     def test_matches_sympy(self, tjs):
+        sympy_wigner = pytest.importorskip("sympy.physics.wigner")
         from sympy import S
 
         mine = wigner6j(*(t / 2 for t in tjs))

@@ -246,6 +246,28 @@ class TestLambdaCoherence:
         for d in np.linspace(-100, 100, 201):
             assert lambda_coherence_analytic(1.0, 78.0, d, 0.0, 4.0, 2.0).imag >= 0
 
+    def test_scalar_arguments_give_python_complex(self):
+        assert type(lambda_coherence_analytic(1.0, 78.0, 3.0, 0.0, 4.0, 2.0)) is complex
+        assert type(lambda_coherence_analytic(1.0, 78.0, 5.0, 5.0, 4.0, 0.0)) is complex
+
+    def test_arrays_match_scalar_calls(self):
+        # rows: probe detunings; columns: coupling Rabi, with bare lines (0)
+        # and, at gamma_ab = 0 and delta_p = delta_c = 1.5, a dark state
+        omega_p = np.array([1.0, 0.5, 2.0, 1.0])
+        omega_c = np.array([0.0, 78.0, 20.0, 0.0])
+        delta_p = np.array([-40.0, 0.0, 1.5, 7.25])[:, None]
+        delta_c = np.array([0.0, 1.5, 1.5, 1.5])
+        for gamma_ab in (0.0, 2.0):
+            grid = lambda_coherence_analytic(omega_p, omega_c, delta_p, delta_c, 4.0, gamma_ab)
+            assert grid.shape == (4, 4)
+            for i, j in np.ndindex(grid.shape):
+                assert grid[i, j] == lambda_coherence_analytic(
+                    omega_p[j], omega_c[j], delta_p[i, 0], delta_c[j], 4.0, gamma_ab)
+        grid = lambda_coherence_analytic(omega_p, omega_c, delta_p, delta_c, 4.0, 0.0)
+        assert grid[2, 1] == 0.0 and grid[2, 2] == 0.0           # dark states
+        assert grid[2, 3] == pytest.approx(0.5j / (4.0 + 1.5j))  # bare line, same resonance
+        assert np.all(np.isfinite(grid))
+
 
 class TestOracleEquivalence:
     def test_full_13_level_linear_response_matches_analytic(self):

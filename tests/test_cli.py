@@ -68,6 +68,17 @@ class TestSynth:
         assert len(read_spectrum(noisy)) == 161
         assert sorted(p.name for p in tmp_path.rglob("*_noisy.csv")) == ["spec_noisy.csv"]
 
+    def test_undamped_dark_state_at_zero_field(self, tmp_path):
+        # gamma_ab = 0, B = 0: the default grid hits the two-photon resonance
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\ngamma_ab = 0\nb_field = 0\n")
+        out = tmp_path / "s.csv"
+        proc = run_cli(["synth", "--config", str(cfg), "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        s = read_spectrum(out)
+        assert len(s) == 161 and 0.0 < s.transmission.min() < 1.0
+
     def test_config_file_drives_scan(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[scan]\nstart = -10\nstop = 10\nstep = 2\n")
@@ -123,6 +134,18 @@ class TestFit:
         proc = run_cli(["fit", "nope.csv"], tmp_path)
         assert proc.returncode != 0
         assert "not found" in proc.stderr
+
+    @pytest.mark.parametrize("rows", [[], ["0,0.5"]], ids=["header_only", "one_point"])
+    def test_too_few_points_reported(self, tmp_path, rows):
+        # three weights (P-, P0, P+ times N_F1) need at least three points
+        csv = tmp_path / "short.csv"
+        csv.write_text("\n".join(["detuning_mhz,transmission", *rows]) + "\n")
+        out = tmp_path / "fit.txt"
+        proc = run_cli(["fit", str(csv), "--out", str(out)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: observed spectrum has")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_not_converged_exit_code(self, tmp_path):
         # noiseless data converge in one iteration from the -ln T start; a

@@ -44,6 +44,9 @@ class TestParseConfig:
             parse_config("[fit]\ninit = 0.2, 0.3, 0.5\n")
         with pytest.raises(ConfigError, match="unknown config field fit.multistart"):
             parse_config("[fit]\nmultistart = off\n")
+        # removed key: the fit's density scale is experiment.n_f1
+        with pytest.raises(ConfigError, match="unknown config field fit.init_density"):
+            parse_config("[fit]\ninit_density = 1e11\n")
         # removed keys: pump-design chooses polarization and power itself
         with pytest.raises(ConfigError, match="unknown config field pump.polarization"):
             parse_config("[pump]\npolarization = 1\n")

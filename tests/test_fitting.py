@@ -46,6 +46,23 @@ class TestResiduals:
         with pytest.raises(ValueError):
             FitProblem(observed=Spectrum(np.array([]), np.array([])), model_template=model)
 
+    def test_fewer_points_than_weights_rejected(self, grid161):
+        s, model = observed_for(REFERENCE_POPS[0], grid161)
+        two = Spectrum(s.detunings[:2], s.transmission[:2])
+        with pytest.raises(ValueError, match="needs at least 3"):
+            FitProblem(observed=two, model_template=model)
+        with pytest.raises(ValueError, match="needs at least 2"):
+            FitProblem(observed=Spectrum(s.detunings[:1], s.transmission[:1]),
+                       model_template=model, fit_density=False)
+        FitProblem(observed=two, model_template=model, fit_density=False)
+        FitProblem(observed=Spectrum(s.detunings[:3], s.transmission[:3]), model_template=model)
+
+    @pytest.mark.parametrize("n_f1", [0.0, -1.0])
+    def test_non_positive_model_density_rejected(self, grid161, n_f1):
+        s, _model = observed_for(REFERENCE_POPS[0], grid161)
+        with pytest.raises(ValueError, match="n_f1"):
+            FitProblem(observed=s, model_template=make_model(n_f1=n_f1))
+
 
 # on a corner or edge of the simplex, where a fit must reach zero populations
 BOUNDARY_POPS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]

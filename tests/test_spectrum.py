@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mdsr.config import RunConfig
 from mdsr.spectrum import (
     PopulationDistribution,
     Spectrum,
     add_noise,
+    optical_depth,
     optical_depth_basis,
     susceptibility,
     susceptibility_grid,
@@ -124,6 +126,18 @@ class TestSusceptibility:
         # z(c_0) = 0, z(a_+1) = -0.5 * 1.399624 * 3 -> peak at +2.0994 MHz
         assert peak == pytest.approx(0.5 * 1.399624 * 3.0, abs=0.01)
 
+    def test_undamped_dark_states_are_exact_zeros(self):
+        # gamma_ab = 0 at zero field: a_-1 and a_0 are dark at delta = 0
+        model = RunConfig(gamma_ab=0.0, b_field=0.0).experiment_model()
+        grid = np.linspace(-80.0, 80.0, 161)
+        for pops in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]:
+            chi = susceptibility_grid(model, PopulationDistribution(*pops), grid)
+            assert np.all(np.isfinite(chi))
+            assert chi[80] == 0.0
+            assert chi.imag.min() >= 0.0
+        chi = susceptibility_grid(model, PopulationDistribution(0.0, 0.0, 1.0), grid)
+        assert chi[80].imag == chi.imag.max()  # a_+1: bare line, no dark state
+
     def test_scalar_matches_grid(self, reference_model):
         pops = PopulationDistribution(*REFERENCE_POPS[0])
         grid = np.array([-12.5, 0.0, 33.0])
@@ -149,6 +163,13 @@ class TestTransmission:
         for pops in REFERENCE_POPS:
             s = synth_spectrum(reference_model, PopulationDistribution(*pops), grid161)
             assert np.abs(np.exp(-basis @ np.array(pops)) - s.transmission).max() < 1e-14
+
+    def test_optical_depth_basis_columns_are_unit_populations(self, reference_model, grid161):
+        basis = optical_depth_basis(reference_model, grid161)
+        assert basis.shape == (161, 3)
+        for k, unit in enumerate(np.eye(3)):
+            chi = susceptibility_grid(reference_model, PopulationDistribution(*unit), grid161)
+            assert np.array_equal(basis[:, k], optical_depth(chi, reference_model))
 
     def test_rejects_negative_im_chi(self, reference_model):
         with pytest.raises(ValueError):
