@@ -5,7 +5,7 @@ coupling field, inversion of spectra for ground-state Zeeman
 populations, and rate-equation design of polarized optical pumping.
 """
 
-from .angular import HalfInteger, wigner3j, wigner6j
+from .angular import wigner3j, wigner6j
 from .bloch import (
     DecayModel,
     LaserField,

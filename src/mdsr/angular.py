@@ -15,52 +15,22 @@ every call.  The undecorated functions are ``wigner3j.__wrapped__`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, sqrt
 from numbers import Real
 
 
-@dataclass(frozen=True)
-class HalfInteger:
-    """Exact half-integral quantum number, stored as twice its value."""
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise TypeError(f"twice must be an int, got {self.twice!r}")
-
-    @classmethod
-    def of(cls, value) -> "HalfInteger":
-        """Coerce an int, Fraction, float or HalfInteger; reject non-half-integral values."""
-        if isinstance(value, HalfInteger):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            twice = 2 * value
-            if twice.denominator != 1:
-                raise ValueError(f"{value} is not half-integral")
-            return cls(int(twice))
-        if isinstance(value, Real):
-            twice = 2 * float(value)
-            if twice != round(twice):
-                raise ValueError(f"{value} is not half-integral")
-            return cls(round(twice))
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-
 def _twice(x) -> int:
-    return HalfInteger.of(x).twice
+    """Twice a half-integral real number, as an int: 2*x in the number's own
+    arithmetic, so an int or Fraction stays exact."""
+    if not isinstance(x, Real):
+        raise TypeError(f"cannot interpret {x!r} as a half-integer")
+    twice = 2 * x
+    t = int(twice)
+    if t != twice:
+        raise ValueError(f"{x} is not half-integral")
+    return t
 
 
 def _triangle_ok(tj1: int, tj2: int, tj3: int) -> bool:
@@ -89,8 +59,9 @@ def _triangle_coeff_sq(tj1: int, tj2: int, tj3: int) -> Fraction:
 def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3-j symbol; 0 when any selection rule fails.
 
-    Arguments may be ints, half-integral floats, Fractions or HalfInteger;
-    inconsistent (non-half-integral) arguments raise ValueError.
+    Arguments may be any half-integral real numbers (ints, Fractions,
+    floats); non-half-integral arguments raise ValueError and non-real ones
+    TypeError.
     """
     tj1, tj2, tj3 = _twice(j1), _twice(j2), _twice(j3)
     tm1, tm2, tm3 = _twice(m1), _twice(m2), _twice(m3)

@@ -12,6 +12,10 @@ production spectrum (`spectrum.susceptibility_grid`) evaluates it on whole
 detuning grids, and the checks in `validate` compare it with this module's
 Liouvillian.
 
+`steady_state` needs a one-dimensional kernel: on a degenerate one (dark or
+decoupled subspaces) it returns rho0 if rho0 is stationary and raises
+`SteadyStateError` otherwise.
+
 `weak_probe_coherences` solves the first-order probe response on one block
 of Liouville space: the coherences with a row in the probe's ground
 manifold and a column outside it.  The block is closed under the
@@ -28,6 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levels import LevelScheme, Manifold, Sublevel
+
+# steady_state's kernel and residual bounds, relative to max(||L||_2, 1)
+KERNEL_TOL = 1e-10
+RESIDUAL_TOL = 1e-9
+# validate_density_matrix's Hermiticity, trace and positivity bounds
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-9
+POS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,13 +84,13 @@ class SteadyStateError(RuntimeError):
         self.residual = residual
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-9, pos_tol=1e-9):
+def validate_density_matrix(rho: np.ndarray):
     """Raise ValueError unless rho is Hermitian, unit-trace and positive."""
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if np.abs(rho - rho.conj().T).max() > HERM_TOL:
         raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
         raise ValueError("density matrix trace != 1")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -pos_tol:
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -POS_TOL:
         raise ValueError("density matrix not positive semidefinite")
 
 
@@ -163,27 +175,15 @@ def build_liouvillian(h: np.ndarray, scheme: LevelScheme, decay: DecayModel) -> 
     return lmat.reshape(n * n, n * n)
 
 
-def steady_state(
-    lmat: np.ndarray,
-    rho0: np.ndarray,
-    kernel_tol: float = 1e-10,
-    residual_tol: float = 1e-9,
-    max_doublings: int = 64,
-) -> np.ndarray:
-    """Steady state of the generator.
-
-    A one-dimensional kernel gives the unique trace-1 kernel element
-    (independent of rho0).  Degenerate kernels (dark/decoupled subspaces)
-    are resolved by propagating rho0 to the long-time limit.
-    """
-    n2 = lmat.shape[0]
-    n = int(round(np.sqrt(n2)))
-    lnorm = np.linalg.norm(lmat, 2)
-    target = residual_tol * max(lnorm, 1.0)
-
+def steady_state(lmat: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """Steady state of the generator: the unique trace-1 kernel element
+    (independent of rho0) if the kernel is one-dimensional, else rho0 if it
+    is stationary; SteadyStateError otherwise."""
+    n = int(round(np.sqrt(lmat.shape[0])))
     _u, svals, vh = np.linalg.svd(lmat)
-    kdim = int(np.sum(svals < kernel_tol * max(svals[0], 1.0)))
-    if kdim == 1:
+    scale = max(svals[0], 1.0)
+    target = RESIDUAL_TOL * scale
+    if np.sum(svals < KERNEL_TOL * scale) == 1:
         rho = vh[-1].conj().reshape(n, n)
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
@@ -192,23 +192,11 @@ def steady_state(
             raise SteadyStateError("kernel element fails residual check", res)
         return rho
 
-    # degenerate kernel: long-time limit from rho0 by repeated squaring
     rho = 0.5 * (rho0 + rho0.conj().T)
     res = np.linalg.norm(lmat @ rho.reshape(-1))
     if res < target:
         return rho
-    from scipy.linalg import expm  # deferred: synth and fit never need scipy
-
-    prop = expm(lmat * (1.0 / max(lnorm, 1.0)))
-    for _ in range(max_doublings):
-        rho = (prop @ rho.reshape(-1)).reshape(n, n)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        res = np.linalg.norm(lmat @ rho.reshape(-1))
-        if res < target:
-            return rho
-        prop = prop @ prop
-    raise SteadyStateError("steady state did not converge", res)
+    raise SteadyStateError("no unique steady state and rho0 is not stationary", res)
 
 
 def lambda_coherence_analytic(omega_p, omega_c, delta_p, delta_c, gamma_ac, gamma_ab):

@@ -173,9 +173,10 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
 
     The pump enters the rates only through f = s/(1+s), and the rate matrix
     is affine in f: R(f) = R0 + (f/f_max)(R_max - R0), with R0 at zero power
-    and R_max at MAX_POWER_MW.  Each polarization therefore needs two rate
-    matrices and one search over u = f/f_max in [0, 1]: a uniform grid, then
-    golden-section refinement on the best grid point's neighbouring cells.
+    (the same for every polarization) and R_max at MAX_POWER_MW.  A plan
+    therefore needs four rate matrices, and each polarization one search
+    over u = f/f_max in [0, 1]: a uniform grid, then golden-section
+    refinement on the best grid point's neighbouring cells.
     The three polarizations are searched in lockstep, so the grid is one
     batched matrix exponential and each golden-section step is another.
     The power reported for u is f/(1-f) per unit saturation, written without
@@ -190,9 +191,8 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     state0 = uniform_g1_state(scheme)
     g1 = _g1_index(scheme)
     pols = (-1, 0, 1)
-    r0 = np.array([pump_rate_matrix(scheme, PumpConfig(q, 0.0, beam_diameter_mm,
-                                                       duration_ms), coupling)
-                   for q in pols])
+    r0 = pump_rate_matrix(scheme, PumpConfig(pols[0], 0.0, beam_diameter_mm, duration_ms),
+                          coupling)
     r1 = np.array([pump_rate_matrix(scheme, PumpConfig(q, MAX_POWER_MW, beam_diameter_mm,
                                                        duration_ms), coupling)
                    for q in pols]) - r0
@@ -200,7 +200,7 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     def score(us, which):
         """(L1 distance, u) at us[j] on polarization which[j], from one batched expm."""
         us = np.asarray(us)
-        pred = _g1_shares(_propagate(r0[which] + us[:, None, None] * r1[which],
+        pred = _g1_shares(_propagate(r0 + us[:, None, None] * r1[which],
                                      state0.pops, duration_ms), g1)
         return list(zip(np.abs(pred - target).sum(axis=-1).tolist(), us.tolist()))
 
@@ -234,6 +234,6 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     picks = [min(grid[i][ks[i]], a[i], b[i], key=lambda c: c[0]) for i in lanes]
     i = min(lanes, key=lambda i: picks[i][0])
     dist, u = picks[i]
-    predicted = evolve_populations(r0[i] + u * r1[i], state0, duration_ms).g1_distribution()
+    predicted = evolve_populations(r0 + u * r1[i], state0, duration_ms).g1_distribution()
     power = MAX_POWER_MW * u / (1.0 + s_max * (1.0 - u))
     return PumpPlan(pols[i], float(power), predicted, dist)

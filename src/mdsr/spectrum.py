@@ -175,7 +175,7 @@ def susceptibility(model: ExperimentModel, pops: PopulationDistribution,
 def optical_depth(chi, model: ExperimentModel):
     """Beer-Lambert optical depth k L Im chi, k = 2 pi / wavelength."""
     im = np.imag(chi)
-    if np.min(im) < -1e-12:
+    if np.any(im < -1e-12):
         raise ValueError("Im chi must be non-negative (passive medium)")
     k_per_m = 2.0 * math.pi / (model.wavelength_nm * 1e-9)
     length_m = model.path_length_mm * 1e-3
@@ -202,8 +202,6 @@ def synth_spectrum(model: ExperimentModel, pops: PopulationDistribution,
                    grid) -> Spectrum:
     """Clean transmission spectrum on a strictly increasing detuning grid."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return Spectrum(grid, np.array([]))
     chi = susceptibility_grid(model, pops, grid)
     return Spectrum(grid, np.asarray(transmission(chi, model)))
 

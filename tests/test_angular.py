@@ -5,21 +5,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsr.angular import HalfInteger, wigner3j, wigner6j
+from mdsr.angular import wigner3j, wigner6j
 
 
 class TestHalfInteger:
+    """Quantum numbers may be any half-integral real numbers."""
+
     def test_exact_values(self):
-        assert HalfInteger.of(2).value == 2
-        assert HalfInteger.of(Fraction(3, 2)).twice == 3
-        assert HalfInteger.of(1.5).twice == 3
-        assert float(HalfInteger.of(0.5)) == 0.5
+        # uncached, so each argument type goes through the conversion
+        w3, w6 = wigner3j.__wrapped__, wigner6j.__wrapped__
+        assert w3(2, 1, 1, 0, 0, 0) == w3(Fraction(2), 1.0, Fraction(2, 2), 0, 0.0, 0) != 0
+        half3 = w3(Fraction(3, 2), Fraction(1, 2), 1, Fraction(1, 2), Fraction(-1, 2), 0)
+        assert half3 == w3(1.5, 0.5, 1, 0.5, -0.5, 0) != 0
+        half6 = w6(Fraction(1, 2), Fraction(1, 2), 1, 1, 1, Fraction(3, 2))
+        assert half6 == w6(0.5, 0.5, 1, 1, 1, 1.5) != 0
 
     def test_rejects_non_half_integral(self):
         with pytest.raises(ValueError):
-            HalfInteger.of(0.3)
+            wigner3j(1, 1, 0.3, 0, 0, 0)
         with pytest.raises(ValueError):
-            HalfInteger.of(Fraction(1, 3))
+            wigner6j(Fraction(1, 3), 1, 1, 1, 1, 1)
+        with pytest.raises(TypeError):
+            wigner3j(1, 1, 1j, 0, 0, 0)
 
     def test_wigner_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -199,7 +199,7 @@ class TestSteadyState:
         lmat = lindblad_kron(h, [])  # pure rotation, degenerate kernel
         rho0 = np.full((2, 2), 0.5, dtype=complex)
         with pytest.raises(SteadyStateError) as err:
-            steady_state(lmat, rho0, max_doublings=8)
+            steady_state(lmat, rho0)
         assert err.value.residual > 0
 
     def test_steady_state_satisfies_density_matrix_invariants(self):

@@ -223,3 +223,34 @@ class TestValidate:
         assert "FAIL" not in proc.stdout
         lines = [l for l in proc.stdout.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 10
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+from dataclasses import replace
+import mdsr
+from mdsr.bloch import build_hamiltonian, build_liouvillian, steady_state
+from mdsr.config import RunConfig
+from mdsr.fitting import FitProblem, fit_populations
+from mdsr.levels import Manifold, Sublevel
+from mdsr.spectrum import PopulationDistribution, synth_spectrum
+from mdsr.validate import restrict_scheme
+
+model = RunConfig().experiment_model()
+spectrum = synth_spectrum(model, PopulationDistribution(0.5, 0.3, 0.2),
+                          np.linspace(-80.0, 80.0, 161))
+assert fit_populations(FitProblem(observed=spectrum, model_template=model)).converged
+lam = restrict_scheme(model.scheme, (Sublevel(Manifold.G1, -1), Sublevel(Manifold.G2, -2),
+                                     Sublevel(Manifold.E2, -2)))
+h = build_hamiltonian(lam, [model.coupling, replace(model.probe, rabi_scale=0.1)])
+steady_state(build_liouvillian(h, lam, model.decay), np.diag([1.0, 0.0, 0.0]).astype(complex))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_synth_fit_and_steady_state_load_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path,
+                          env=cli_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mdsr.bloch import weak_probe_coherences
 from mdsr.config import RunConfig
+from mdsr.levels import Sublevel
 from mdsr.spectrum import (
     PopulationDistribution,
     Spectrum,
@@ -10,6 +12,7 @@ from mdsr.spectrum import (
     optical_depth_basis,
     susceptibility,
     susceptibility_grid,
+    susceptibility_prefactor,
     synth_spectrum,
     transmission,
 )
@@ -146,6 +149,29 @@ class TestSusceptibility:
             assert susceptibility(reference_model, pops, d) == c
 
 
+class TestLiouvillianOracle:
+    @pytest.mark.parametrize("b_field", [0.0, 0.15, 0.7])
+    def test_13_level_oracle_matches_susceptibility_grid(self, b_field):
+        """The full 13-level first-order response, summed over the probe
+        links a -> c as amp * rho1[a, c], is the production susceptibility."""
+        model = make_model(b_field=b_field)
+        scheme, q = model.scheme, model.probe.q
+        gman, eman = model.probe.transition
+        pops = (0.5, 0.3, 0.2)
+        by_level = {Sublevel(gman, m): p for m, p in zip((-1, 0, 1), pops)}
+        links = [(a, Sublevel(eman, a.m + q)) for a in by_level]
+        scale = susceptibility_prefactor(model.n_f1, scheme.reduced_dipole) / model.probe.rabi_scale
+        grid = np.linspace(-80.0, 80.0, 161)
+        oracle = []
+        for dp in grid:
+            rho1 = weak_probe_coherences(scheme, model.coupling, model.probe, model.decay,
+                                         by_level, dp)
+            oracle.append(scale * sum(scheme.coupling(a, c, q) * rho1[scheme.index(a), scheme.index(c)]
+                                      for a, c in links))
+        chi = susceptibility_grid(model, PopulationDistribution(*pops), grid)
+        assert np.max(np.abs(np.array(oracle) - chi) / np.abs(chi)) <= 1e-12
+
+
 class TestTransmission:
     def test_zero_density_is_fully_transparent(self, grid161):
         s = synth_spectrum(make_model(n_f1=0.0), PopulationDistribution(*REFERENCE_POPS[0]), grid161)
@@ -174,6 +200,11 @@ class TestTransmission:
     def test_rejects_negative_im_chi(self, reference_model):
         with pytest.raises(ValueError):
             transmission(-1e-6j + 1.0, reference_model)
+
+    def test_empty_grid_gives_empty_results(self, reference_model):
+        assert optical_depth_basis(reference_model, []).shape == (0, 3)
+        s = synth_spectrum(reference_model, PopulationDistribution(*REFERENCE_POPS[0]), [])
+        assert len(s) == 0
 
 
 class TestNoise:
