@@ -38,7 +38,6 @@ from .spectrum import (
     PopulationDistribution,
     Spectrum,
     add_noise,
-    susceptibility,
     susceptibility_grid,
     synth_spectrum,
     transmission,

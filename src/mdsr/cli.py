@@ -11,6 +11,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .fitting import FitProblem, fit_populations
 from .io import format_float, read_spectrum, write_spectrum, write_text
+from .levels import build_level_scheme
 from .pumping import design_pump
 from .spectrum import PopulationDistribution, add_noise, synth_spectrum
 from .validate import run_checks
@@ -44,15 +45,19 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_synth(args) -> int:
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        raise SystemExit(f"error: --noise must be finite and >= 0, got {args.noise!r}")
+    if args.seed < 0:
+        raise SystemExit(f"error: --seed must be >= 0, got {args.seed}")
     cfg = _load_config(args)
     model = cfg.experiment_model()
     pops_arr = _parse_triple(args.pops, "--pops") if args.pops else np.full(3, 1 / 3)
     pops = PopulationDistribution(*pops_arr)
     spectrum = synth_spectrum(model, pops, cfg.scan_grid())
-    out = args.out or cfg.out_path or "spectrum.csv"
+    out = args.out or "spectrum.csv"
     write_spectrum(spectrum, out)
     print(f"wrote {len(spectrum)} points to {out}")
-    if args.noise and args.noise > 0:
+    if args.noise > 0:
         noisy = add_noise(spectrum, args.noise, args.seed)
         noisy_path = os.path.splitext(out)[0] + "_noisy.csv"
         write_spectrum(noisy, noisy_path)
@@ -109,8 +114,6 @@ def cmd_fit(args) -> int:
 def cmd_pump_design(args) -> int:
     cfg = _load_config(args)
     target = _parse_triple(args.target, "--target")
-    from .levels import build_level_scheme
-
     scheme = build_level_scheme(cfg.b_field, include_e1=True)
     plan = design_pump(
         target, scheme, cfg.coupling_field(),

@@ -5,11 +5,14 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .bloch import DecayModel, LaserField
-from .levels import D1_WAVELENGTH_NM, Manifold, build_level_scheme
-from .pumping import DEFAULT_PUMP_DURATION_MS
+from .fitting import DEFAULT_MAX_ITERATIONS
+from .levels import Manifold, build_level_scheme
+from .pumping import DEFAULT_BEAM_DIAMETER_MM, DEFAULT_PUMP_DURATION_MS
 from .spectrum import N_F1_RANGE_CM3, ExperimentModel
 
 
@@ -28,19 +31,16 @@ class RunConfig:
     b_field: float = 0.15        # G
     n_f1: float = 1.2e11         # cm^-3
     path_length: float = 2.0     # mm
-    wavelength: float = D1_WAVELENGTH_NM  # nm
     # scan
     scan_start: float = -80.0
     scan_stop: float = 80.0
     scan_step: float = 1.0
     # fit
     fit_density: bool = True
-    fit_max_iterations: int = 200
+    fit_max_iterations: int = DEFAULT_MAX_ITERATIONS
     # pump
-    pump_beam_diameter: float = 2.0  # mm
+    pump_beam_diameter: float = DEFAULT_BEAM_DIAMETER_MM  # mm
     pump_duration: float = DEFAULT_PUMP_DURATION_MS  # ms
-    # output
-    out_path: str = ""
 
     def __post_init__(self):
         self.validate()
@@ -62,7 +62,6 @@ class RunConfig:
         check(self.gamma_ab >= 0, "experiment.gamma_ab", self.gamma_ab)
         check(self.gamma_ac > self.gamma_ab, "experiment.gamma_ac", self.gamma_ac)
         check(self.path_length > 0, "experiment.path_length", self.path_length)
-        check(self.wavelength > 0, "experiment.wavelength", self.wavelength)
         check(self.scan_step > 0, "scan.step", self.scan_step)
         check(self.scan_start < self.scan_stop, "scan.start", self.scan_start)
         check(self.fit_max_iterations > 0, "fit.max_iterations", self.fit_max_iterations)
@@ -84,12 +83,9 @@ class RunConfig:
             decay=DecayModel(self.gamma_ab, self.gamma_ac),
             n_f1=self.n_f1,
             path_length_mm=self.path_length,
-            wavelength_nm=self.wavelength,
         )
 
     def scan_grid(self):
-        import numpy as np
-
         # the last point never passes stop; the slack absorbs rounding in
         # a step that divides the span, such as 160 / (n - 1)
         n = int(np.floor((self.scan_stop - self.scan_start) / self.scan_step + 1e-9)) + 1
@@ -105,7 +101,6 @@ _FIELD_MAP = {
     ("experiment", "b_field"): ("b_field", float),
     ("experiment", "n_f1"): ("n_f1", float),
     ("experiment", "path_length"): ("path_length", float),
-    ("experiment", "wavelength"): ("wavelength", float),
     ("scan", "start"): ("scan_start", float),
     ("scan", "stop"): ("scan_stop", float),
     ("scan", "step"): ("scan_step", float),
@@ -113,7 +108,6 @@ _FIELD_MAP = {
     ("fit", "max_iterations"): ("fit_max_iterations", int),
     ("pump", "beam_diameter"): ("pump_beam_diameter", float),
     ("pump", "duration"): ("pump_duration", float),
-    ("output", "path"): ("out_path", str),
 }
 
 
@@ -123,8 +117,6 @@ def _convert(kind, raw, where):
             return float(raw)
         if kind is int:
             return int(raw)
-        if kind is str:
-            return raw
         if kind == "bool":
             low = raw.strip().lower()
             if low in ("1", "true", "yes", "on"):

@@ -34,6 +34,7 @@ MAX_DAMPING_TRIES = 40
 DIAG_FLOOR = 1e-12
 # -ln T of a point below this transmission is dominated by noise
 WARM_START_FLOOR = 0.05
+DEFAULT_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class FitProblem:
     observed: Spectrum
     model_template: ExperimentModel   # non-fitted parameters fixed
     fit_density: bool = True          # else N_F1 stays at model_template.n_f1
-    max_iterations: int = 200
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
         free = 3 if self.fit_density else 2

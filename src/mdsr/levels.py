@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .angular import wigner3j, wigner6j
 
@@ -113,8 +114,7 @@ class LevelScheme:
     sublevels: tuple
     zeeman: dict          # Sublevel -> MHz
     couplings: dict       # (lower, upper, q) -> relative amplitude (nonzero entries only)
-    reduced_dipole: float  # C*m
-    magnetic_field: float  # G
+    reduced_dipole: ClassVar[float] = REDUCED_DIPOLE_CM  # C*m, the same for every scheme
 
     def __post_init__(self):
         # sublevel -> position, derived rather than a field
@@ -173,10 +173,4 @@ def build_level_scheme(b_gauss: float = 0.0, include_e1: bool = False) -> LevelS
             amp = relative_dipole(lo, up, q)
             if amp != 0.0:
                 couplings[(lo, up, q)] = amp
-    return LevelScheme(
-        sublevels=sublevels,
-        zeeman=zeeman,
-        couplings=couplings,
-        reduced_dipole=REDUCED_DIPOLE_CM,
-        magnetic_field=b_gauss,
-    )
+    return LevelScheme(sublevels, zeeman, couplings)

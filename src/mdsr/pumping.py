@@ -25,6 +25,7 @@ from .levels import LevelScheme, Manifold, NATURAL_LINEWIDTH_MHZ, Sublevel
 I_SAT_MW_PER_CM2 = 1.496  # D1 line saturation intensity
 MHZ_TO_PER_MS = 1.0e3
 DEFAULT_PUMP_DURATION_MS = 2.0e-4
+DEFAULT_BEAM_DIAMETER_MM = 2.0
 MAX_POWER_MW = 20.0  # design_pump's power cap; s/(1+s) = 0.998 there for a 2 mm beam
 GRID_POINTS = 33     # design_pump's uniform grid in f/f_max
 GOLDEN_STEPS = 40    # golden-section steps, shrinking two grid cells by 0.618**40
@@ -35,7 +36,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class PumpConfig:
     polarization: int      # q in {-1, 0, +1}
     power_mw: float
-    beam_diameter_mm: float = 2.0
+    beam_diameter_mm: float = DEFAULT_BEAM_DIAMETER_MM
     duration_ms: float = DEFAULT_PUMP_DURATION_MS
 
     def __post_init__(self):
@@ -69,9 +70,6 @@ class PopulationState:
             raise ValueError("population vector does not match scheme dimension")
         if not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("populations must be finite, non-negative and sum to 1")
-
-    def population(self, s: Sublevel) -> float:
-        return float(self.pops[self.scheme.index(s)])
 
     def manifold_total(self, manifold: Manifold) -> float:
         return float(sum(self.pops[self.scheme.index(s)]
@@ -167,7 +165,7 @@ def evolve_populations(rates: np.ndarray, state0: PopulationState,
 
 def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
                 duration_ms: float = DEFAULT_PUMP_DURATION_MS,
-                beam_diameter_mm: float = 2.0) -> PumpPlan:
+                beam_diameter_mm: float = DEFAULT_BEAM_DIAMETER_MM) -> PumpPlan:
     """Pick the pump polarization and power whose predicted G1 distribution
     (from a uniform start, after duration_ms) is L1-closest to the target.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import DecayModel, LaserField, lambda_coherence_analytic
-from .levels import LevelScheme, Manifold, Sublevel
+from .levels import D1_WAVELENGTH_NM, LevelScheme, Manifold, Sublevel
 
 HBAR_JS = 1.054571817e-34
 EPSILON0_F_PER_M = 8.8541878128e-12
@@ -57,15 +57,12 @@ class ExperimentModel:
     decay: DecayModel
     n_f1: float            # atoms/cm^3 in the F=1 ground manifold
     path_length_mm: float
-    wavelength_nm: float
 
     def __post_init__(self):
         if self.n_f1 < 0:
             raise ValueError("n_f1 must be >= 0")
         if self.path_length_mm <= 0:
             raise ValueError("path_length_mm must be > 0")
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength_nm must be > 0")
         if self.coupling.rabi_scale > 0 and self.probe.rabi_scale > 0.2 * self.coupling.rabi_scale:
             warnings.warn(
                 "probe Rabi scale is not small compared to the coupling; "
@@ -167,17 +164,12 @@ def susceptibility_grid(model: ExperimentModel, pops: PopulationDistribution,
     return _terms(model, pops.as_array(), deltas).sum(axis=1)
 
 
-def susceptibility(model: ExperimentModel, pops: PopulationDistribution,
-                   delta_p: float) -> complex:
-    return complex(susceptibility_grid(model, pops, np.array([float(delta_p)]))[0])
-
-
 def optical_depth(chi, model: ExperimentModel):
-    """Beer-Lambert optical depth k L Im chi, k = 2 pi / wavelength."""
+    """Beer-Lambert optical depth k L Im chi, k = 2 pi / wavelength of the D1 line."""
     im = np.imag(chi)
     if np.any(im < -1e-12):
         raise ValueError("Im chi must be non-negative (passive medium)")
-    k_per_m = 2.0 * math.pi / (model.wavelength_nm * 1e-9)
+    k_per_m = 2.0 * math.pi / (D1_WAVELENGTH_NM * 1e-9)
     length_m = model.path_length_mm * 1e-3
     return k_per_m * length_m * np.maximum(im, 0.0)
 
@@ -208,8 +200,8 @@ def synth_spectrum(model: ExperimentModel, pops: PopulationDistribution,
 
 def add_noise(s: Spectrum, sigma: float, seed: int) -> Spectrum:
     """Gaussian transmission noise, clamped to [0, 1]; deterministic per seed."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
     if sigma == 0:
         return s
     rng = np.random.default_rng(seed)

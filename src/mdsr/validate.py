@@ -45,8 +45,6 @@ def restrict_scheme(scheme: LevelScheme, keep) -> LevelScheme:
         zeeman={s: scheme.zeeman[s] for s in keep},
         couplings={k: v for k, v in scheme.couplings.items()
                    if k[0] in keep and k[1] in keep},
-        reduced_dipole=scheme.reduced_dipole,
-        magnetic_field=scheme.magnetic_field,
     )
 
 
@@ -217,13 +215,8 @@ def check_chi_linearity() -> CheckResult:
 
 def check_sign_flip_invariance() -> CheckResult:
     model = RunConfig(b_field=0.15).experiment_model()
-    flipped_scheme = LevelScheme(
-        sublevels=model.scheme.sublevels,
-        zeeman=model.scheme.zeeman,
-        couplings={k: -v for k, v in model.scheme.couplings.items()},
-        reduced_dipole=model.scheme.reduced_dipole,
-        magnetic_field=model.scheme.magnetic_field,
-    )
+    flipped_scheme = replace(model.scheme,
+                             couplings={k: -v for k, v in model.scheme.couplings.items()})
     flipped = replace(model, scheme=flipped_scheme)
     grid = np.linspace(-80, 80, 161)
     pops = PopulationDistribution(0.32, 0.36, 0.32)

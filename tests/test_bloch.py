@@ -15,7 +15,7 @@ from mdsr.bloch import (
     validate_density_matrix,
     weak_probe_coherences,
 )
-from mdsr.levels import LevelScheme, Manifold, Sublevel, build_level_scheme, relative_dipole
+from mdsr.levels import Manifold, Sublevel, build_level_scheme, relative_dipole
 from mdsr.validate import restrict_scheme
 
 COUPLING = LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2))
@@ -307,13 +307,7 @@ class TestOracleEquivalence:
 
     def test_sign_flip_leaves_coherence_magnitudes(self):
         scheme = build_level_scheme(0.0)
-        flipped = LevelScheme(
-            sublevels=scheme.sublevels,
-            zeeman=scheme.zeeman,
-            couplings={k: -v for k, v in scheme.couplings.items()},
-            reduced_dipole=scheme.reduced_dipole,
-            magnetic_field=scheme.magnetic_field,
-        )
+        flipped = replace(scheme, couplings={k: -v for k, v in scheme.couplings.items()})
         pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
         for dp in (-39.0, 0.0, 17.0):
             r1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, dp)

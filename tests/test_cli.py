@@ -106,6 +106,16 @@ class TestSynth:
         assert "--pops must be three non-negative numbers" in proc.stderr
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise", "-0.01"), ("--noise", "nan"), ("--noise", "inf"), ("--seed", "-1"),
+    ])
+    def test_bad_noise_or_seed_rejected(self, tmp_path, flag, value):
+        proc = run_cli(["synth", "--out", "s.csv", flag, value], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {flag} must be")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_round_trip_recovers_populations(self, tmp_path, synth_csv):
@@ -205,6 +215,7 @@ class TestPumpDesign:
 
         monkeypatch.setattr(mdsr.levels, "build_level_scheme", counting)
         monkeypatch.setattr(mdsr.config, "build_level_scheme", counting)
+        monkeypatch.setattr(mdsr.cli, "build_level_scheme", counting)
         code = mdsr.cli.main(["pump-design", "--target", "0.2,0.3,0.5"])
         assert code in (0, 2)
         assert "pump design:" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mdsr.config import ConfigError, RunConfig, load_config, parse_config
+from mdsr.levels import BOHR_MAGNETON_MHZ_PER_G, Manifold, Sublevel
 from mdsr.io import (HEADER, SpectrumFormatError, format_float, read_spectrum,
                      write_spectrum, write_text)
 from mdsr.spectrum import PopulationDistribution, Spectrum, synth_spectrum
@@ -21,7 +22,6 @@ class TestParseConfig:
         assert cfg.b_field == 0.15
         assert cfg.n_f1 == 1.2e11
         assert cfg.path_length == 2.0
-        assert cfg.wavelength == pytest.approx(795.0, abs=0.1)
 
     def test_overrides(self):
         cfg = parse_config(
@@ -52,6 +52,12 @@ class TestParseConfig:
             parse_config("[pump]\npolarization = 1\n")
         with pytest.raises(ConfigError, match="unknown config field pump.power"):
             parse_config("[pump]\npower = 13.6\n")
+        # removed key: the model is of the D1 line, whose wavelength is fixed
+        with pytest.raises(ConfigError, match="unknown config field experiment.wavelength"):
+            parse_config("[experiment]\nwavelength = 780\n")
+        # removed key: synth writes to --out
+        with pytest.raises(ConfigError, match="unknown config field output.path"):
+            parse_config("[output]\npath = s.csv\n")
 
     def test_bad_value_named_in_error(self):
         with pytest.raises(ConfigError, match="scan.step"):
@@ -65,7 +71,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section,key", [
         ("pump", "duration"), ("pump", "beam_diameter"), ("experiment", "path_length"),
-        ("experiment", "wavelength"), ("experiment", "gamma_ac"), ("scan", "step"),
+        ("experiment", "gamma_ac"), ("scan", "step"),
         ("scan", "stop"), ("experiment", "coupling_detuning"),
     ])
     @pytest.mark.parametrize("raw", ["inf", "nan"])
@@ -99,7 +105,9 @@ class TestParseConfig:
     def test_experiment_model_roundtrip(self):
         model = parse_config("").experiment_model()
         assert model.coupling.rabi_scale == 78.0
-        assert model.scheme.magnetic_field == 0.15
+        # a_+1 has g_F = -1/2, so B = 0.15 G shifts it by -mu_B * 0.15 G / 2
+        shift = model.scheme.zeeman[Sublevel(Manifold.G1, 1)]
+        assert shift == pytest.approx(-0.5 * BOHR_MAGNETON_MHZ_PER_G * 0.15, rel=1e-12)
         assert model.decay.gamma_excited == pytest.approx(4.0)
 
     def test_load_config_from_file(self, tmp_path):

@@ -3,12 +3,14 @@ import math
 import pytest
 
 from mdsr.levels import (
+    REDUCED_DIPOLE_CM,
     Manifold,
     Sublevel,
     build_level_scheme,
     relative_dipole,
     zeeman_shift,
 )
+from mdsr.validate import restrict_scheme
 
 
 def s(man, m):
@@ -117,7 +119,13 @@ class TestLevelScheme:
         with pytest.raises(ValueError, match="not in the level scheme"):
             build_level_scheme(0.15).index(s(Manifold.E1, 0))
 
+    def test_reduced_dipole_is_the_d1_constant(self):
+        scheme = build_level_scheme(0.15, include_e1=True)
+        sub = restrict_scheme(scheme, scheme.manifold_levels(Manifold.G1))
+        assert scheme.reduced_dipole == REDUCED_DIPOLE_CM
+        assert sub.reduced_dipole == REDUCED_DIPOLE_CM
+
     def test_immutable_sharing(self):
         scheme = build_level_scheme(0.15)
         with pytest.raises(AttributeError):
-            scheme.magnetic_field = 1.0
+            scheme.zeeman = {}

@@ -10,7 +10,6 @@ from mdsr.spectrum import (
     add_noise,
     optical_depth,
     optical_depth_basis,
-    susceptibility,
     susceptibility_grid,
     susceptibility_prefactor,
     synth_spectrum,
@@ -146,7 +145,7 @@ class TestSusceptibility:
         grid = np.array([-12.5, 0.0, 33.0])
         chi = susceptibility_grid(reference_model, pops, grid)
         for d, c in zip(grid, chi):
-            assert susceptibility(reference_model, pops, d) == c
+            assert susceptibility_grid(reference_model, pops, [d])[0] == c
 
 
 class TestLiouvillianOracle:
@@ -237,3 +236,9 @@ class TestNoise:
         s = synth_spectrum(reference_model, PopulationDistribution(*REFERENCE_POPS[0]), grid161)
         with pytest.raises(ValueError):
             add_noise(s, -0.01, 0)
+
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_non_finite_sigma_rejected(self, reference_model, grid161, sigma):
+        s = synth_spectrum(reference_model, PopulationDistribution(*REFERENCE_POPS[0]), grid161)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            add_noise(s, sigma, 0)
