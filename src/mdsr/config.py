@@ -16,6 +16,9 @@ from .pumping import DEFAULT_BEAM_DIAMETER_MM, DEFAULT_PUMP_DURATION_MS
 from .spectrum import N_F1_RANGE_CM3, ExperimentModel
 
 
+MAX_SCAN_POINTS = 1_000_000  # far above any real scan; the survey benchmark uses at most 3201
+
+
 class ConfigError(ValueError):
     pass
 
@@ -64,6 +67,7 @@ class RunConfig:
         check(self.path_length > 0, "experiment.path_length", self.path_length)
         check(self.scan_step > 0, "scan.step", self.scan_step)
         check(self.scan_start < self.scan_stop, "scan.start", self.scan_start)
+        check(self._scan_points() <= MAX_SCAN_POINTS, "scan.step", self.scan_step)
         check(self.fit_max_iterations > 0, "fit.max_iterations", self.fit_max_iterations)
         check(self.pump_beam_diameter > 0, "pump.beam_diameter", self.pump_beam_diameter)
         check(self.pump_duration > 0, "pump.duration", self.pump_duration)
@@ -85,11 +89,14 @@ class RunConfig:
             path_length_mm=self.path_length,
         )
 
-    def scan_grid(self):
+    def _scan_points(self) -> float:
         # the last point never passes stop; the slack absorbs rounding in
-        # a step that divides the span, such as 160 / (n - 1)
-        n = int(np.floor((self.scan_stop - self.scan_start) / self.scan_step + 1e-9)) + 1
-        return self.scan_start + self.scan_step * np.arange(n)
+        # a step that divides the span, such as 160 / (n - 1).  A float, so
+        # that a step too small to count (inf points) compares, not raises.
+        return np.floor((self.scan_stop - self.scan_start) / self.scan_step + 1e-9) + 1
+
+    def scan_grid(self):
+        return self.scan_start + self.scan_step * np.arange(int(self._scan_points()))
 
 
 _FIELD_MAP = {

@@ -30,6 +30,16 @@ MAX_POWER_MW = 20.0  # design_pump's power cap; s/(1+s) = 0.998 there for a 2 mm
 GRID_POINTS = 33     # design_pump's uniform grid in f/f_max
 GOLDEN_STEPS = 40    # golden-section steps, shrinking two grid cells by 0.618**40
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# degree-13 Pade coefficients b_0..b_13 and the 1-norm below which the
+# approximant alone is accurate to double precision (Higham 2005)
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+THETA13 = 5.371920351148152
+# the approximant's four sums as rows of coefficients of (I, A^2, A^4, A^6):
+# the odd part is U = A (A^6 X1 + X2), the even part V = A^6 Y1 + Y2
+_PADE13_SUMS = np.array([(0.0, *PADE13[9::2]), (0.0, *PADE13[8::2]),    # X1, Y1
+                         PADE13[1:9:2], PADE13[0:8:2]])                # X2, Y2
 
 
 @dataclass(frozen=True)
@@ -144,11 +154,50 @@ def pump_rate_matrix(scheme: LevelScheme, pump: PumpConfig,
     return rate
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square matrix or a stack of them (..., n, n)
+    by degree-13 Pade approximation with scaling and squaring (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)).
+
+    Each matrix is scaled by its own power of two, 2**-s with s >= 0 the
+    least that brings its 1-norm below THETA13, and squared back s times.
+    The stack is squared in lockstep, a matrix that needs no more squarings
+    keeping its value, so a matrix gives the same bits alone as inside any
+    stack."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    col_sums = np.abs(a).sum(axis=-2)
+    top = float(col_sums.max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("expm needs a finite matrix")
+    squarings = max(math.frexp(top / THETA13)[1], 0)
+    if squarings:  # scaling by 2**0 changes no bit, so it is skipped when no matrix needs one
+        s = np.maximum(np.frexp(col_sums.max(axis=-1) / THETA13)[1], 0)
+        a = a * np.exp2(-s)[..., None, None]
+    # I and the even powers in one buffer, so the four sums are one matmul
+    powers = np.empty(a.shape[:-2] + (4, n, n))
+    powers[..., 0, :, :] = np.eye(n)
+    a2 = np.matmul(a, a, out=powers[..., 1, :, :])
+    a4 = np.matmul(a2, a2, out=powers[..., 2, :, :])
+    a6 = np.matmul(a4, a2, out=powers[..., 3, :, :])
+    sums = (_PADE13_SUMS @ powers.reshape(a.shape[:-2] + (4, n * n))).reshape(powers.shape)
+    # A^6 (X1, Y1) + (X2, Y2) in one matmul: (A^6 X1 + X2, V); the buffers
+    # are dropped so that the solve's temporaries do not add to them
+    odd_v = a6[..., None, :, :] @ sums[..., :2, :, :]
+    odd_v += sums[..., 2:, :, :]
+    del powers, sums, a2, a4, a6
+    odd, v = np.moveaxis(odd_v, -3, 0)
+    u = a @ odd
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(squarings):
+        r = np.where((s > k)[..., None, None], r @ r, r)
+    return r
+
+
 def _propagate(rates: np.ndarray, pops0: np.ndarray, t_ms: float) -> np.ndarray:
     """expm(R t) p0 for a rate matrix or a stack of them (..., n, n), clipped
-    at 0 and renormalized: the one propagator of this module."""
-    from scipy.linalg import expm  # deferred: synth and fit never need scipy
-
+    at 0 and renormalized: the one propagator of this module.  It runs on
+    the numpy Pade-13 expm above, so pumping needs no scipy."""
     p = np.maximum(expm(rates * t_ms) @ pops0, 0.0)
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -156,6 +205,10 @@ def _propagate(rates: np.ndarray, pops0: np.ndarray, t_ms: float) -> np.ndarray:
 def evolve_populations(rates: np.ndarray, state0: PopulationState,
                        t_ms: float) -> PopulationState:
     """Propagate dp/dt = R p for t_ms by matrix exponential."""
+    rates = np.asarray(rates, dtype=float)
+    n = state0.scheme.dim
+    if rates.shape != (n, n) or not np.isfinite(rates).all():
+        raise ValueError(f"rates must be a finite {n}x{n} matrix for the state's scheme")
     if not (math.isfinite(t_ms) and t_ms >= 0):
         raise ValueError("time must be finite and >= 0")
     if t_ms == 0:

@@ -94,6 +94,15 @@ class TestSynth:
         assert proc.returncode != 0
         assert "scan.step" in proc.stderr
 
+    def test_scan_with_too_many_points_is_rejected(self, tmp_path):
+        # 1.6e14 points: refused by the config, not by a failed allocation
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[scan]\nstep = 1e-12\n")
+        proc = run_cli(["synth", "--config", str(cfg), "--out", "s.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: scan.step out of range: 1e-12\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
     def test_bad_pops_rejected(self, tmp_path):
         proc = run_cli(["synth", "--pops", "1,2"], tmp_path)
         assert proc.returncode != 0
@@ -244,9 +253,11 @@ import mdsr
 from mdsr.bloch import build_hamiltonian, build_liouvillian, steady_state
 from mdsr.config import RunConfig
 from mdsr.fitting import FitProblem, fit_populations
-from mdsr.levels import Manifold, Sublevel
+from mdsr.levels import Manifold, Sublevel, build_level_scheme
+from mdsr.pumping import (PumpConfig, design_pump, evolve_populations, pump_rate_matrix,
+                          uniform_g1_state)
 from mdsr.spectrum import PopulationDistribution, synth_spectrum
-from mdsr.validate import restrict_scheme
+from mdsr.validate import restrict_scheme, run_checks
 
 model = RunConfig().experiment_model()
 spectrum = synth_spectrum(model, PopulationDistribution(0.5, 0.3, 0.2),
@@ -256,6 +267,11 @@ lam = restrict_scheme(model.scheme, (Sublevel(Manifold.G1, -1), Sublevel(Manifol
                                      Sublevel(Manifold.E2, -2)))
 h = build_hamiltonian(lam, [model.coupling, replace(model.probe, rabi_scale=0.1)])
 steady_state(build_liouvillian(h, lam, model.decay), np.diag([1.0, 0.0, 0.0]).astype(complex))
+scheme16 = build_level_scheme(0.15, include_e1=True)
+rates = pump_rate_matrix(scheme16, PumpConfig(-1, 5.0), model.coupling)
+evolve_populations(rates, uniform_g1_state(scheme16), 0.05)
+design_pump(np.array([0.2, 0.3, 0.5]), scheme16, model.coupling)
+assert all(check.passed for check in run_checks())
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from mdsr.bloch import LaserField
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.pumping import (
     DEFAULT_PUMP_DURATION_MS,
     MAX_POWER_MW,
+    THETA13,
     PopulationState,
     PumpConfig,
     design_pump,
     evolve_populations,
+    expm,
     pump_rate_matrix,
     uniform_g1_state,
 )
@@ -115,6 +116,18 @@ class TestRateMatrix:
             assert evolved.pops.sum() == pytest.approx(1.0, abs=1e-12)
             assert evolved.pops.min() >= 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evolution_rejects_non_finite_rates(self, scheme16, bad):
+        rates = pump_rate_matrix(scheme16, PumpConfig(0, 3.0), COUPLING)
+        rates[3, 5] = bad
+        with pytest.raises(ValueError, match="rates"):
+            evolve_populations(rates, uniform_g1_state(scheme16), 1e-3)
+
+    @pytest.mark.parametrize("shape", [(15, 15), (16, 15), (2, 16, 16)])
+    def test_evolution_rejects_rates_of_wrong_shape(self, scheme16, shape):
+        with pytest.raises(ValueError, match="rates"):
+            evolve_populations(np.zeros(shape), uniform_g1_state(scheme16), 1e-3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
     def test_evolution_rejects_bad_time(self, scheme16, bad):
         rates = pump_rate_matrix(scheme16, PumpConfig(0, 3.0), COUPLING)
@@ -215,10 +228,62 @@ class TestDesignPump:
         assert np.abs(again - plan.predicted).max() <= 1e-12
 
 
+def design_stack(scheme, duration_ms):
+    """The 99 scaled rate matrices of design_pump's grid: 33 values of
+    u = f/f_max on each polarization, times the duration."""
+    r0 = pump_rate_matrix(scheme, PumpConfig(-1, 0.0), COUPLING)
+    r1 = np.array([pump_rate_matrix(scheme, PumpConfig(q, MAX_POWER_MW), COUPLING)
+                   for q in (-1, 0, 1)]) - r0
+    us = np.linspace(0.0, 1.0, 33)
+    return (r0 + us[None, :, None, None] * r1[:, None]).reshape(-1, *r0.shape) * duration_ms
+
+
+DESIGN_DURATIONS_MS = (2e-4, 1e-3, 0.05, 1.0, 10.0)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("duration", DESIGN_DURATIONS_MS)
+    def test_matches_scipy_on_design_stacks(self, scheme16, duration):
+        # bound fixed at 1e-11 before the propagator was tuned; the
+        # largest difference seen is 2.6e-12, at 10 ms
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        stack = design_stack(scheme16, duration)
+        p0 = uniform_g1_state(scheme16).pops
+        ours, theirs = expm(stack) @ p0, scipy_linalg.expm(stack) @ p0
+        assert np.abs(ours - theirs).max() <= 1e-11
+
+    def test_mixed_scaling_stack_matches_single_matrices(self, scheme16):
+        # one matrix per duration: 2**-s scalings s = 0, 2, 7, 12 and 15 in one
+        # stack, so finished matrices sit out later squarings
+        stack = np.array([design_stack(scheme16, t)[40] for t in DESIGN_DURATIONS_MS])
+        scales = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / THETA13)[1]
+        assert np.maximum(scales, 0).tolist() == [0, 2, 7, 12, 15]
+        together = expm(stack)
+        for matrix, alone in zip(stack, together):
+            assert np.array_equal(expm(matrix), alone)
+
+    def test_known_exponentials(self):
+        assert np.allclose(expm(np.zeros((4, 4))), np.eye(4), rtol=0, atol=1e-15)
+        assert expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+        # a nilpotent generator: exp(N) = I + N + N^2/2
+        n = np.diag([2.0, 3.0], k=1)
+        assert np.allclose(expm(n), np.eye(3) + n + n @ n / 2, rtol=0, atol=1e-14)
+        # a two-state decay, large enough to be squared back 12 times
+        k = 9e3
+        exact = np.array([[math.exp(-k), 0.0], [1.0 - math.exp(-k), 1.0]])
+        assert np.allclose(expm(np.array([[-k, 0.0], [k, 0.0]])), exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            expm(np.array([[0.0, bad], [0.0, 0.0]]))
+
+
 def scalar_design(target, scheme, coupling, duration_ms):
     """The search one polarization at a time with one expm per point, as
     design_pump ran it before the polarizations were searched in lockstep:
-    the reference the batched search must reproduce bit for bit.  The grid
+    the reference the batched search must reproduce bit for bit.  It uses
+    the package's expm, so both sides run the same arithmetic.  The grid
     size, step count and ratio are literals so that a change to
     GRID_POINTS, GOLDEN_STEPS or GOLDEN shows here too."""
     grid_points, golden_steps, golden = 33, 40, (math.sqrt(5.0) - 1.0) / 2.0
