@@ -92,6 +92,7 @@ def cmd_fit(args) -> int:
     print(f"  N_F1        = {result.n_f1:.4e} cm^-3")
     print(f"  residual rms = {result.residual_rms:.3e}")
     print(f"  iterations   = {result.iterations}, converged = {result.converged}")
+    print(f"  stop reason  = {result.stop_reason}")
     if args.out:
         lines = [
             f"p_minus_pct = {format_float(round(100 * p[0], 1))}",

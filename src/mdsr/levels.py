@@ -47,10 +47,18 @@ class Manifold(enum.Enum):
 
     @property
     def g_factor(self) -> Fraction:
-        """Lande g_F: g_J [F(F+1)+J(J+1)-I(I+1)] / (2F(F+1))."""
-        g_j = Fraction(2) if not self.is_excited else Fraction(2, 3)
-        f, j, i = Fraction(self.f), Fraction(1, 2), NUCLEAR_SPIN
-        return g_j * (f * (f + 1) + j * (j + 1) - i * (i + 1)) / (2 * f * (f + 1))
+        """Lande g_F, computed once per manifold (`_lande_g`)."""
+        return _G_FACTORS[self]
+
+
+def _lande_g(manifold: Manifold) -> Fraction:
+    """g_J [F(F+1)+J(J+1)-I(I+1)] / (2F(F+1))."""
+    g_j = Fraction(2) if not manifold.is_excited else Fraction(2, 3)
+    f, j, i = Fraction(manifold.f), Fraction(1, 2), NUCLEAR_SPIN
+    return g_j * (f * (f + 1) + j * (j + 1) - i * (i + 1)) / (2 * f * (f + 1))
+
+
+_G_FACTORS = {manifold: _lande_g(manifold) for manifold in Manifold}
 
 
 @dataclass(frozen=True, order=True)

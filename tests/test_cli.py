@@ -137,6 +137,8 @@ class TestFit:
         assert float(result["p_zero"]) == pytest.approx(0.36, abs=0.005)
         assert float(result["p_plus"]) == pytest.approx(0.32, abs=0.005)
         assert float(result["n_f1_cm3"]) == pytest.approx(1.2e11, rel=0.01)
+        assert "  stop reason  = step" in proc.stdout.splitlines()
+        assert "stop" not in out.read_text()
 
     def test_deterministic_result_file(self, tmp_path, synth_csv):
         # the second file is written over a longer stale one
@@ -176,6 +178,7 @@ class TestFit:
         cfg.write_text("[fit]\nmax_iterations = 1\n")
         proc = run_cli(["fit", str(tmp_path / "spec_noisy.csv"), "--config", str(cfg)], tmp_path)
         assert proc.returncode == 2
+        assert "  stop reason  = iterations" in proc.stdout.splitlines()
 
 
 class TestPumpDesign:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ class TestResiduals:
         s, _model = observed_for(REFERENCE_POPS[0], grid161)
         with pytest.raises(ValueError, match="n_f1"):
             FitProblem(observed=s, model_template=make_model(n_f1=n_f1))
+
+    @pytest.mark.parametrize("max_iterations", [0, -3, 2.5, True, "5", None])
+    def test_bad_max_iterations_rejected(self, grid161, max_iterations):
+        s, model = observed_for(REFERENCE_POPS[0], grid161)
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitProblem(observed=s, model_template=model, max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("max_iterations", [1, np.int64(3)])
+    def test_integer_max_iterations_accepted(self, grid161, max_iterations):
+        s, model = observed_for(REFERENCE_POPS[0], grid161)
+        result = fit_populations(FitProblem(observed=s, model_template=model,
+                                            max_iterations=max_iterations))
+        assert 1 <= result.iterations <= max_iterations
 
 
 # on a corner or edge of the simplex, where a fit must reach zero populations
@@ -179,3 +194,91 @@ class TestProfileScan:
             profile_scan(problem, "gamma_ab", np.array([1.0]))
         with pytest.raises(ValueError):
             profile_scan(problem, "p_zero", np.array([]))
+
+
+class TestStopReason:
+    def test_exact_data_stop_on_step(self, grid161):
+        s, model = observed_for(REFERENCE_POPS[1], grid161)
+        result = fit_populations(FitProblem(observed=s, model_template=model))
+        assert (result.stop_reason, result.converged, result.iterations) == ("step", True, 1)
+
+    def test_noisy_data_stop_on_decrease(self, grid161):
+        s, model = observed_for(REFERENCE_POPS[0], grid161, sigma=0.01, seed=0)
+        result = fit_populations(FitProblem(observed=s, model_template=model))
+        assert (result.stop_reason, result.converged) == ("decrease", True)
+        assert result.iterations > 1
+
+    def test_iteration_cap(self, grid161):
+        s, model = observed_for(REFERENCE_POPS[0], grid161, sigma=0.01, seed=1)
+        result = fit_populations(FitProblem(observed=s, model_template=model,
+                                            max_iterations=1))
+        assert (result.stop_reason, result.converged, result.iterations) == (
+            "iterations", False, 1)
+
+    def test_damping_exhausted(self, grid161, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_DAMPING_TRIES", 0)
+        s, model = observed_for(REFERENCE_POPS[0], grid161, sigma=0.01, seed=1)
+        result = fit_populations(FitProblem(observed=s, model_template=model))
+        assert (result.stop_reason, result.converged, result.iterations) == (
+            "damping", False, 1)
+
+
+def per_support_bounded_lsq(gram, rhs, lo, hi):
+    """The bounded least squares solved one support at a time: the reference
+    for `fitting._bounded_lsq`, which stacks every support into one solve."""
+    k = rhs.size
+    best, best_value = (np.zeros(k), 0.0) if lo <= 0 else (None, np.inf)
+    for size in range(1, k + 1):
+        for support in combinations(range(k), size):
+            s = list(support)
+            free, along_sum = np.linalg.solve(
+                gram[np.ix_(s, s)], np.column_stack([rhs[s], np.ones(size)])).T
+            excess = free.sum() - min(max(free.sum(), lo), hi)
+            ys = free - excess / along_sum.sum() * along_sum
+            if ys.min() < 0:
+                continue
+            y = np.zeros(k)
+            y[s] = ys
+            value = y @ gram @ y - 2.0 * rhs @ y
+            if value < best_value:
+                best, best_value = y, value
+    return best
+
+
+def random_problem(rng, k, scale):
+    a = rng.standard_normal((k, k))
+    return scale * (a @ a.T + 0.1 * np.eye(k)), scale * rng.standard_normal(k)
+
+
+SUM_BOUNDS = {"lo<=0": [(0.0, 2.0), (-1.0, 0.5)], "0<lo<hi": [(0.5, 2.0)],
+              "lo==hi": [(1.0, 1.0), (0.3, 0.3)]}
+
+
+class TestStackedBoundedLsq:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("bounds", sorted(SUM_BOUNDS))
+    def test_matches_per_support_solve(self, k, bounds):
+        rng = np.random.default_rng(1000 * k + len(bounds))
+        for scale in 10.0 ** np.arange(-6, 7, 2):
+            for lo, hi in SUM_BOUNDS[bounds]:
+                for _ in range(20):
+                    gram, rhs = random_problem(rng, k, scale)
+                    got = fitting._bounded_lsq(gram, rhs, lo, hi)
+                    want = per_support_bounded_lsq(gram, rhs, lo, hi)
+                    assert got.shape == (k,)
+                    np.testing.assert_array_equal(got == 0, want == 0)
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+                    assert got.min() >= 0 and lo - 1e-12 <= got.sum() <= hi + 1e-12
+
+    def test_fits_match_per_support_reference(self, grid161, monkeypatch):
+        problems = [FitProblem(observed=observed_for(truth, grid161, sigma=0.01, seed=seed)[0],
+                               model_template=make_model())
+                    for truth in REFERENCE_POPS for seed in range(20)]
+        shipped = [fit_populations(p) for p in problems]
+        monkeypatch.setattr(fitting, "_bounded_lsq", per_support_bounded_lsq)
+        for problem, got in zip(problems, shipped):
+            want = fit_populations(problem)
+            assert (got.iterations, got.converged, got.stop_reason) == (
+                want.iterations, want.converged, want.stop_reason)
+            assert np.abs(got.pops.as_array() - want.pops.as_array()).max() <= 1e-12
+            assert abs(got.n_f1 - want.n_f1) <= 1e-12 * want.n_f1
