@@ -7,6 +7,8 @@ population decay Gamma = 2(gamma_ac - gamma_ab) branched by squared
 dipole amplitudes, plus pure dephasing gamma_ab added to ground-ground
 and optical coherences.  With that split the weak-probe Lambda coherence
 of `lambda_coherence_analytic` is reproduced exactly by the full model.
+The sublevel pairs a field drives come from `LevelScheme.driven`, the one
+selection rule.
 That function is the package's one copy of the Lambda formula: the
 production spectrum (`spectrum.susceptibility_grid`) evaluates it on whole
 detuning grids, and the checks in `validate` compare it with this module's
@@ -27,6 +29,7 @@ frozen ground populations lies in the block and its conjugate transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +59,10 @@ class LaserField:
     def __post_init__(self):
         if self.q not in (-1, 0, 1):
             raise ValueError(f"q must be -1, 0 or +1, got {self.q}")
-        if self.rabi_scale < 0:
-            raise ValueError("rabi_scale must be >= 0")
+        if not (math.isfinite(self.rabi_scale) and self.rabi_scale >= 0):
+            raise ValueError("rabi_scale must be finite and >= 0")
+        if not math.isfinite(self.detuning):
+            raise ValueError("detuning must be finite")
         g, e = self.transition
         if g.is_excited or not e.is_excited:
             raise ValueError("transition must be (ground manifold, excited manifold)")
@@ -69,8 +74,8 @@ class DecayModel:
     gamma_ac: float  # optical coherence decay, MHz
 
     def __post_init__(self):
-        if not self.gamma_ac > self.gamma_ab >= 0:
-            raise ValueError("require gamma_ac > gamma_ab >= 0")
+        if not (math.isfinite(self.gamma_ac) and self.gamma_ac > self.gamma_ab >= 0):
+            raise ValueError("require finite gamma_ac > gamma_ab >= 0")
 
     @property
     def gamma_excited(self) -> float:
@@ -125,19 +130,17 @@ def _frame_offsets(scheme: LevelScheme, fields) -> dict:
 
 def build_hamiltonian(scheme: LevelScheme, fields) -> np.ndarray:
     """RWA Hamiltonian in MHz: diagonal = frame offset + Zeeman shift,
-    off-diagonal = -Omega/2 per driven pair (Omega = rabi_scale * amplitude)."""
+    off-diagonal = -Omega/2 per pair a field drives (`LevelScheme.driven`;
+    Omega = rabi_scale * amplitude)."""
     offsets = _frame_offsets(scheme, fields)
     n = scheme.dim
     h = np.zeros((n, n), dtype=complex)
     for i, s in enumerate(scheme.sublevels):
         h[i, i] = offsets[s.manifold] + scheme.zeeman[s]
     for f in fields:
-        gman, eman = f.transition
-        for (lo, up, q), amp in scheme.couplings.items():
-            if q == f.q and lo.manifold is gman and up.manifold is eman:
-                i, j = scheme.index(lo), scheme.index(up)
-                h[i, j] += -0.5 * f.rabi_scale * amp
-                h[j, i] += -0.5 * f.rabi_scale * amp
+        for i, j, amp in scheme.driven(f.q, f.transition):
+            h[i, j] += -0.5 * f.rabi_scale * amp
+            h[j, i] += -0.5 * f.rabi_scale * amp
     return h
 
 

@@ -9,7 +9,7 @@ linearised cost over that set exactly: every support of x (7 for 3 weights)
 is solved in one stacked LAPACK call and the best sign-feasible candidate
 wins (the active-set enumeration of Lawson & Hanson, ch. 23).  It starts from
 the same bounded least squares on -ln T, so there is no start list or initial
-guess (the `fit.init` and `fit.multistart` config keys are removed).
+guess.
 Fixed-density fits and density profiles pin sum(x); population profiles fit
 two weights u through w = A u.  A fit reports why it stopped
 (`FitResult.stop_reason`).

@@ -8,11 +8,14 @@ with I = 3/2, J = J' = 1/2, normalized so the strongest pi amplitude on
 F=2 -> F'=2 has magnitude 1 (b_{-2} <-> c_{-2}).  Signs follow the
 Condon-Shortley phases of the 3-j/6-j symbols; only ratios of squared
 amplitudes are observable in this model.
+`LevelScheme.driven`, the couplings one beam drives, is the package's one
+selection rule: the Hamiltonian, pump rates and probe terms all read it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
@@ -79,8 +82,8 @@ class Sublevel:
 
 def zeeman_shift(s: Sublevel, b_gauss: float) -> float:
     """Linear Zeeman shift in MHz for field b_gauss (G)."""
-    if b_gauss < 0:
-        raise ValueError("magnetic field must be >= 0")
+    if not (math.isfinite(b_gauss) and b_gauss >= 0):
+        raise ValueError("magnetic field must be finite and >= 0")
     return float(s.manifold.g_factor) * BOHR_MAGNETON_MHZ_PER_G * b_gauss * s.m
 
 
@@ -140,6 +143,15 @@ class LevelScheme:
 
     def coupling(self, lower: Sublevel, upper: Sublevel, q: int) -> float:
         return self.couplings.get((lower, upper, q), 0.0)
+
+    def driven(self, q: int, transition) -> list:
+        """(lower index, upper index, amplitude) of each coupling that a beam
+        of polarization q on transition = (ground manifold, excited manifold)
+        drives, in the order of `couplings`."""
+        gman, eman = transition
+        pos = self._positions
+        return [(pos[lo], pos[up], amp) for (lo, up, cq), amp in self.couplings.items()
+                if cq == q and lo.manifold is gman and up.manifold is eman]
 
     def manifold_levels(self, manifold: Manifold):
         return [s for s in self.sublevels if s.manifold is manifold]

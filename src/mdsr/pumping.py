@@ -133,20 +133,17 @@ def pump_rate_matrix(scheme: LevelScheme, pump: PumpConfig,
     gamma = NATURAL_LINEWIDTH_MHZ * MHZ_TO_PER_MS
 
     beams = [
-        (Manifold.G1, Manifold.E1, pump.polarization, pump.saturation),
-        (coupling.transition[0], coupling.transition[1], coupling.q,
-         _coupling_saturation(coupling.rabi_scale)),
+        (pump.polarization, (Manifold.G1, Manifold.E1), pump.saturation),
+        (coupling.q, coupling.transition, _coupling_saturation(coupling.rabi_scale)),
     ]
-    for gman, eman, q, sat in beams:
+    for q, transition, sat in beams:
         if sat <= 0:
             continue
         factor = 0.5 * gamma * sat / (1.0 + sat)
-        for (lo, up, cq), amp in scheme.couplings.items():
-            if cq == q and lo.manifold is gman and up.manifold is eman:
-                i, j = scheme.index(lo), scheme.index(up)
-                r = factor * amp * amp
-                rate[j, i] += r
-                rate[i, i] -= r
+        for i, j, amp in scheme.driven(q, transition):
+            r = factor * amp * amp
+            rate[j, i] += r
+            rate[i, i] -= r
 
     for j, i, frac in scheme.decay_channels():
         rate[i, j] += gamma * frac
@@ -228,8 +225,8 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     therefore needs four rate matrices, and each polarization one search
     over u = f/f_max in [0, 1]: a uniform grid, then golden-section
     refinement on the best grid point's neighbouring cells.
-    The three polarizations are searched in lockstep, so the grid is one
-    batched matrix exponential and each golden-section step is another.
+    The three polarizations are one array axis of the search, so the grid is
+    one batched matrix exponential and each golden-section step is another.
     The power reported for u is f/(1-f) per unit saturation, written without
     cancellation as MAX_POWER_MW * u / (1 + s_max (1 - u)), so u = 0 is 0 mW
     and u = 1 is exactly the cap.  The chosen plan's prediction is
@@ -248,43 +245,37 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
                                                        duration_ms), coupling)
                    for q in pols]) - r0
 
-    def score(us, which):
-        """(L1 distance, u) at us[j] on polarization which[j], from one batched expm."""
-        us = np.asarray(us)
-        pred = _g1_shares(_propagate(r0 + us[:, None, None] * r1[which],
+    def score(us):
+        """L1 distance at us[i, j] on polarization pols[i], from one batched expm."""
+        pred = _g1_shares(_propagate(r0 + us[..., None, None] * r1[:, None],
                                      state0.pops, duration_ms), g1)
-        return list(zip(np.abs(pred - target).sum(axis=-1).tolist(), us.tolist()))
+        return np.abs(pred - target).sum(axis=-1)
 
-    lanes = list(range(len(pols)))
-    grid = score(np.tile(np.linspace(0.0, 1.0, GRID_POINTS), len(pols)),
-                 np.repeat(lanes, GRID_POINTS))
-    grid = [grid[i * GRID_POINTS:(i + 1) * GRID_POINTS] for i in lanes]
-    ks = [int(np.argmin([c[0] for c in g])) for g in grid]
-    lo = [g[max(k - 1, 0)][1] for g, k in zip(grid, ks)]
-    hi = [g[min(k + 1, GRID_POINTS - 1)][1] for g, k in zip(grid, ks)]
-    ab = score([h - GOLDEN * (h - l) for l, h in zip(lo, hi)]
-               + [l + GOLDEN * (h - l) for l, h in zip(lo, hi)], lanes + lanes)
-    a, b = ab[:len(pols)], ab[len(pols):]
+    grid_u = np.linspace(0.0, 1.0, GRID_POINTS)
+    grid = score(np.tile(grid_u, (len(pols), 1)))
+    k = grid.argmin(axis=1)
+    lo, hi = grid_u[np.maximum(k - 1, 0)], grid_u[np.minimum(k + 1, GRID_POINTS - 1)]
+    step = GOLDEN * (hi - lo)
+    ua, ub = hi - step, lo + step
+    da, db = score(np.stack([ua, ub], axis=1)).T
     for _ in range(GOLDEN_STEPS):
-        left = [a[i][0] <= b[i][0] for i in lanes]
-        for i in lanes:
-            if left[i]:
-                hi[i], b[i] = b[i][1], a[i]
-            else:
-                lo[i], a[i] = a[i][1], b[i]
-        probes = [hi[i] - GOLDEN * (hi[i] - lo[i]) if left[i] else
-                  lo[i] + GOLDEN * (hi[i] - lo[i]) for i in lanes]
-        for i, new in zip(lanes, score(probes, lanes)):
-            if left[i]:
-                a[i] = new
-            else:
-                b[i] = new
+        # left: keep [lo, ub], a becomes b and a new a is probed;
+        # otherwise keep [ua, hi], b becomes a and a new b is probed
+        left = da <= db
+        hi, lo = np.where(left, ub, hi), np.where(left, lo, ua)
+        step = GOLDEN * (hi - lo)
+        new_u = np.where(left, hi - step, lo + step)
+        new_d = score(new_u[:, None])[:, 0]
+        ua, ub = np.where(left, new_u, ub), np.where(left, ua, new_u)
+        da, db = np.where(left, new_d, db), np.where(left, da, new_d)
 
     # per polarization the better of the grid point and the refined pair;
-    # min keeps the first of equal distances, here and across polarizations
-    picks = [min(grid[i][ks[i]], a[i], b[i], key=lambda c: c[0]) for i in lanes]
-    i = min(lanes, key=lambda i: picks[i][0])
-    dist, u = picks[i]
+    # argmin keeps the first of equal distances, here and across polarizations
+    dists = np.stack([grid.min(axis=1), da, db], axis=1)
+    us = np.stack([grid_u[k], ua, ub], axis=1)
+    i = int(dists.min(axis=1).argmin())
+    j = int(dists[i].argmin())
+    dist, u = float(dists[i, j]), float(us[i, j])
     predicted = evolve_populations(r0 + u * r1[i], state0, duration_ms).g1_distribution()
     power = MAX_POWER_MW * u / (1.0 + s_max * (1.0 - u))
     return PumpPlan(pols[i], float(power), predicted, dist)

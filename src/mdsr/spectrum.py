@@ -3,10 +3,11 @@
 The total susceptibility is the population-weighted sum of three
 independent probe terms (one per F=1 ground sublevel), each a weak-probe
 Lambda (or bare two-level, where the coupling partner is forbidden)
-coherence.  Every term comes from the one copy of that formula,
-`bloch.lambda_coherence_analytic`, evaluated elementwise over the detuning
-grid by `_terms`; `susceptibility_grid` and `optical_depth_basis` both read
-those terms.  The full Liouvillian solver in `bloch` serves as the
+coherence.  The probe links and their coupling partners come from the one
+selection rule, `LevelScheme.driven`.  Every term comes from the one copy of
+that formula, `bloch.lambda_coherence_analytic`, evaluated elementwise over
+the detuning grid by `_terms`; `susceptibility_grid` and `optical_depth_basis`
+both read those terms.  The full Liouvillian solver in `bloch` serves as the
 cross-validation oracle for this additive production path.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import DecayModel, LaserField, lambda_coherence_analytic
-from .levels import D1_WAVELENGTH_NM, LevelScheme, Manifold, Sublevel
+from .levels import D1_WAVELENGTH_NM, LevelScheme
 
 HBAR_JS = 1.054571817e-34
 EPSILON0_F_PER_M = 8.8541878128e-12
@@ -59,10 +60,10 @@ class ExperimentModel:
     path_length_mm: float
 
     def __post_init__(self):
-        if self.n_f1 < 0:
-            raise ValueError("n_f1 must be >= 0")
-        if self.path_length_mm <= 0:
-            raise ValueError("path_length_mm must be > 0")
+        if not (math.isfinite(self.n_f1) and self.n_f1 >= 0):
+            raise ValueError("n_f1 must be finite and >= 0")
+        if not (math.isfinite(self.path_length_mm) and self.path_length_mm > 0):
+            raise ValueError("path_length_mm must be finite and > 0")
         if self.coupling.rabi_scale > 0 and self.probe.rabi_scale > 0.2 * self.coupling.rabi_scale:
             warnings.warn(
                 "probe Rabi scale is not small compared to the coupling; "
@@ -90,6 +91,8 @@ class Spectrum:
             raise ValueError("detunings must be strictly increasing")
         if tr.size and (tr.min() < -1e-12 or tr.max() > 1.0 + 1e-12):
             raise ValueError("transmission values must lie in [0, 1]")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and >= 0")
 
     def __len__(self) -> int:
         return self.detunings.size
@@ -107,34 +110,21 @@ def susceptibility_prefactor(n_f1_cm3: float, reduced_dipole_cm: float) -> float
 
 def _term_parameters(model: ExperimentModel):
     """Per-term arrays (probe amp^2, partner coupling Rabi, Zeeman offsets)
-    for the three F=1 probe transitions, ordered a_-1, a_0, a_+1."""
-    scheme = model.scheme
-    gman, eman = model.probe.transition
-    cgman, ceman = model.coupling.transition
-    amp2, omega_c, dp_shift, dc_shift = [], [], [], []
-    for m in range(-gman.f, gman.f + 1):
-        a = Sublevel(gman, m)
-        mc = m + model.probe.q
-        if abs(mc) > eman.f:
-            amp2.append(0.0)
-            omega_c.append(0.0)
-            dp_shift.append(0.0)
-            dc_shift.append(0.0)
-            continue
-        c = Sublevel(eman, mc)
-        rel_p = scheme.coupling(a, c, model.probe.q)
-        mb = c.m - model.coupling.q
-        if abs(mb) <= cgman.f:
-            b = Sublevel(cgman, mb)
-            rel_c = scheme.coupling(b, c, model.coupling.q)
-            zb = scheme.zeeman[b]
-        else:
-            rel_c, zb = 0.0, 0.0
-        amp2.append(rel_p * rel_p)
-        omega_c.append(abs(rel_c) * model.coupling.rabi_scale)
-        dp_shift.append(scheme.zeeman[c] - scheme.zeeman[a])
-        dc_shift.append(scheme.zeeman[c] - zb)
-    return (np.array(amp2), np.array(omega_c), np.array(dp_shift), np.array(dc_shift))
+    for the three F=1 probe transitions, ordered a_-1, a_0, a_+1.  A term
+    without a probe link is zeros; one whose excited sublevel the coupling
+    does not drive is a bare line (zero coupling Rabi, partner shift 0)."""
+    scheme, probe, coupling = model.scheme, model.probe, model.coupling
+    zeeman = [scheme.zeeman[s] for s in scheme.sublevels]
+    partner = {j: (amp, zeeman[i]) for i, j, amp in scheme.driven(coupling.q, coupling.transition)}
+    amp2, omega_c, dp_shift, dc_shift = np.zeros((4, 2 * probe.transition[0].f + 1))
+    for i, j, rel_p in scheme.driven(probe.q, probe.transition):
+        col = scheme.sublevels[i].m + probe.transition[0].f
+        rel_c, zb = partner.get(j, (0.0, 0.0))
+        amp2[col] = rel_p * rel_p
+        omega_c[col] = abs(rel_c) * coupling.rabi_scale
+        dp_shift[col] = zeeman[j] - zeeman[i]
+        dc_shift[col] = zeeman[j] - zb
+    return amp2, omega_c, dp_shift, dc_shift
 
 
 def _terms(model: ExperimentModel, weights: np.ndarray, deltas) -> np.ndarray:

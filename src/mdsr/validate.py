@@ -243,7 +243,7 @@ def check_window_width_ratio() -> CheckResult:
 
 def check_rate_conservation() -> CheckResult:
     scheme = build_level_scheme(0.15, include_e1=True)
-    coupling = RunConfig().experiment_model().coupling
+    coupling = RunConfig().coupling_field()
     state = uniform_g1_state(scheme)
     worst = 0.0
     for q in (-1, 0, 1):
@@ -256,7 +256,7 @@ def check_rate_conservation() -> CheckResult:
 
 def check_pump_dark_states() -> CheckResult:
     scheme = build_level_scheme(0.15, include_e1=True)
-    coupling = RunConfig().experiment_model().coupling
+    coupling = RunConfig().coupling_field()
     state = uniform_g1_state(scheme)
     shares = []
     for q, idx in ((-1, 0), (0, 1), (1, 2)):

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from mdsr.bloch import (
     DecayModel,
+    _frame_offsets,
     LaserField,
     SteadyStateError,
     build_hamiltonian,
@@ -60,6 +63,24 @@ def kron_liouvillian(h, scheme, decay):
     return lmat
 
 
+def filter_hamiltonian(scheme, fields):
+    """Reference for `build_hamiltonian`: each field's couplings picked by
+    filtering `scheme.couplings` on polarization and manifold pair."""
+    offsets = _frame_offsets(scheme, fields)
+    n = scheme.dim
+    h = np.zeros((n, n), dtype=complex)
+    for i, s in enumerate(scheme.sublevels):
+        h[i, i] = offsets[s.manifold] + scheme.zeeman[s]
+    for f in fields:
+        gman, eman = f.transition
+        for (lo, up, q), amp in scheme.couplings.items():
+            if q == f.q and lo.manifold is gman and up.manifold is eman:
+                i, j = scheme.index(lo), scheme.index(up)
+                h[i, j] += -0.5 * f.rabi_scale * amp
+                h[j, i] += -0.5 * f.rabi_scale * amp
+    return h
+
+
 def two_level_liouvillian(omega, gamma, delta=0.0):
     # b_+2 <-> c_+2 has unit amplitude and decays only to b_+2, so this is
     # H = [[0, -omega/2], [-omega/2, -delta]] with one jump sqrt(gamma)|b><c|
@@ -78,11 +99,19 @@ class TestLaserFieldAndDecay:
         with pytest.raises(ValueError):
             LaserField(0, 1.0, 0.0, (Manifold.E2, Manifold.G1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["rabi_scale", "detuning"])
+    def test_field_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            replace(PROBE, **{field: bad})
+
     def test_decay_validation(self):
         with pytest.raises(ValueError):
             DecayModel(4.0, 4.0)  # would give Gamma = 0
         with pytest.raises(ValueError):
             DecayModel(-1.0, 4.0)
+        with pytest.raises(ValueError, match="finite"):
+            DecayModel(2.0, math.inf)
 
     def test_reference_decay_rates_give_gamma_4(self):
         assert DECAY.gamma_excited == pytest.approx(4.0)
@@ -118,6 +147,19 @@ class TestHamiltonian:
         scheme = build_level_scheme(0.3)
         h = build_hamiltonian(scheme, [COUPLING, PROBE])
         assert np.abs(h - h.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("include_e1", [False, True])
+    @pytest.mark.parametrize("b_field", [0.0, 0.15, 0.9])
+    def test_bitwise_equal_to_filter_reference(self, include_e1, b_field):
+        scheme = build_level_scheme(b_field, include_e1=include_e1)
+        pairs = [(Manifold.G2, Manifold.E2, Manifold.G1, Manifold.E2)]
+        if include_e1:
+            pairs.append((Manifold.G2, Manifold.E1, Manifold.G1, Manifold.E1))
+        for (cg, ce, pg, pe), qc, qp in itertools.product(pairs, (-1, 0, 1), (-1, 0, 1)):
+            fields = [LaserField(qc, 78.0, 1.5, (cg, ce)), LaserField(qp, 1.3, -2.0, (pg, pe))]
+            for subset in (fields[:1], fields[1:], fields):
+                h = build_hamiltonian(scheme, subset)
+                assert h.tobytes() == filter_hamiltonian(scheme, subset).tobytes()
 
 
 class TestLiouvillian:

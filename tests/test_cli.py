@@ -247,6 +247,27 @@ class TestValidate:
         lines = [l for l in proc.stdout.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 10
 
+    @pytest.mark.parametrize("check", ["check_rate_conservation", "check_pump_dark_states"])
+    def test_pump_checks_build_one_level_scheme(self, monkeypatch, check):
+        # the checks need the 16-level scheme and the coupling beam; the beam
+        # comes from the config, not from a second (13-level) scheme
+        import mdsr.config
+        import mdsr.levels
+        import mdsr.validate
+
+        built = []
+        real = mdsr.levels.build_level_scheme
+
+        def counting(*args, **kwargs):
+            built.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mdsr.levels, "build_level_scheme", counting)
+        monkeypatch.setattr(mdsr.config, "build_level_scheme", counting)
+        monkeypatch.setattr(mdsr.validate, "build_level_scheme", counting)
+        assert getattr(mdsr.validate, check)().passed
+        assert built == [((0.15,), {"include_e1": True})]
+
 
 NO_SCIPY_SCRIPT = """
 import sys

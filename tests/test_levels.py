@@ -49,6 +49,13 @@ class TestZeeman:
         with pytest.raises(ValueError):
             zeeman_shift(s(Manifold.G1, 1), -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            zeeman_shift(s(Manifold.G1, 1), bad)
+        with pytest.raises(ValueError, match="finite"):
+            build_level_scheme(bad, include_e1=True)
+
 
 class TestRelativeDipole:
     def test_forbidden_transition_zeros(self):
@@ -110,6 +117,26 @@ class TestLevelScheme:
             vals = [sums[lvl] for lvl in scheme.manifold_levels(man)]
             for v in vals:
                 assert v == pytest.approx(vals[0], rel=1e-12)
+
+    @pytest.mark.parametrize("include_e1", [False, True])
+    def test_driven_returns_each_coupling_once(self, include_e1):
+        # every coupling belongs to exactly one beam (q, transition), and is
+        # returned with its own amplitude
+        scheme = build_level_scheme(0.15, include_e1=include_e1)
+        manifolds = {lvl.manifold for lvl in scheme.sublevels}
+        ground = [m for m in manifolds if not m.is_excited]
+        excited = [m for m in manifolds if m.is_excited]
+        returned = []
+        for q in (-1, 0, 1):
+            for g in ground:
+                for e in excited:
+                    for i, j, amp in scheme.driven(q, (g, e)):
+                        lo, up = scheme.sublevels[i], scheme.sublevels[j]
+                        assert (lo.manifold, up.manifold) == (g, e)
+                        assert amp == scheme.couplings[(lo, up, q)]
+                        returned.append((lo, up, q))
+        assert len(returned) == len(set(returned))
+        assert set(returned) == set(scheme.couplings)
 
     def test_index_is_position_in_sublevels(self):
         for include_e1 in (False, True):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.pumping import (
     DEFAULT_PUMP_DURATION_MS,
     MAX_POWER_MW,
+    MHZ_TO_PER_MS,
+    NATURAL_LINEWIDTH_MHZ,
     THETA13,
     PopulationState,
     PumpConfig,
+    _coupling_saturation,
     design_pump,
     evolve_populations,
     expm,
@@ -24,6 +28,33 @@ COUPLING = LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E2))
 @pytest.fixture(scope="module")
 def scheme16():
     return build_level_scheme(0.15, include_e1=True)
+
+
+def filter_rate_matrix(scheme, pump, coupling):
+    """Reference for `pump_rate_matrix`: each beam's couplings picked by
+    filtering `scheme.couplings` on polarization and manifold pair."""
+    n = scheme.dim
+    rate = np.zeros((n, n))
+    gamma = NATURAL_LINEWIDTH_MHZ * MHZ_TO_PER_MS
+    beams = [
+        (Manifold.G1, Manifold.E1, pump.polarization, pump.saturation),
+        (coupling.transition[0], coupling.transition[1], coupling.q,
+         _coupling_saturation(coupling.rabi_scale)),
+    ]
+    for gman, eman, q, sat in beams:
+        if sat <= 0:
+            continue
+        factor = 0.5 * gamma * sat / (1.0 + sat)
+        for (lo, up, cq), amp in scheme.couplings.items():
+            if cq == q and lo.manifold is gman and up.manifold is eman:
+                i, j = scheme.index(lo), scheme.index(up)
+                r = factor * amp * amp
+                rate[j, i] += r
+                rate[i, i] -= r
+    for j, i, frac in scheme.decay_channels():
+        rate[i, j] += gamma * frac
+        rate[j, j] -= gamma * frac
+    return rate
 
 
 class TestPumpConfig:
@@ -78,6 +109,15 @@ class TestRateMatrix:
     def test_requires_16_level_scheme(self):
         with pytest.raises(ValueError):
             pump_rate_matrix(build_level_scheme(0.15), PumpConfig(-1, 1.0), COUPLING)
+
+    @pytest.mark.parametrize("b_field", [0.0, 0.15, 0.9])
+    def test_bitwise_equal_to_filter_reference(self, b_field):
+        scheme = build_level_scheme(b_field, include_e1=True)
+        for q, qc, power in itertools.product((-1, 0, 1), (-1, 0, 1), (0.0, 3.0, 20.0)):
+            pump = PumpConfig(q, power)
+            coupling = LaserField(qc, 78.0, 0.0, (Manifold.G2, Manifold.E2))
+            rates = pump_rate_matrix(scheme, pump, coupling)
+            assert rates.tobytes() == filter_rate_matrix(scheme, pump, coupling).tobytes()
 
     def test_columns_sum_to_zero(self, scheme16):
         for q in (-1, 0, 1):

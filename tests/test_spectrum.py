@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mdsr.bloch import weak_probe_coherences
+from mdsr.bloch import LaserField, weak_probe_coherences
 from mdsr.config import RunConfig
-from mdsr.levels import Sublevel
+from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.spectrum import (
     PopulationDistribution,
     Spectrum,
@@ -56,6 +58,11 @@ class TestSpectrumContainer:
         with pytest.raises(ValueError):
             Spectrum(np.array([0.0, 1.0]), np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [-0.01, np.nan, np.inf])
+    def test_rejects_bad_noise_sigma(self, bad):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            Spectrum([0.0, 1.0], [0.5, 0.5], noise_sigma=bad)
+
 
 class TestExperimentModel:
     def test_warns_on_strong_probe(self):
@@ -65,6 +72,13 @@ class TestExperimentModel:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             make_model(n_f1=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_density_and_path(self, reference_model, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_model(n_f1=bad)
+        with pytest.raises(ValueError, match="finite"):
+            replace(reference_model, path_length_mm=bad)
 
 
 class TestSusceptibility:
@@ -96,6 +110,17 @@ class TestSusceptibility:
         peaks = find_peaks(grid, chi.imag)
         assert len(peaks) == 1
         assert abs(peaks[0]) < 0.1
+
+    def test_coupling_on_another_excited_manifold_leaves_bare_lines(self, grid161):
+        # a coupling beam on F=2 -> F'=1 dresses no F' = 2 sublevel, so a
+        # probe on F=1 -> F'=2 sees the same lines as with the coupling off
+        scheme = build_level_scheme(0.15, include_e1=True)
+        model = replace(make_model(), scheme=scheme,
+                        coupling=LaserField(0, 78.0, 0.0, (Manifold.G2, Manifold.E1)))
+        off = replace(model, coupling=replace(model.coupling, rabi_scale=0.0))
+        pops = PopulationDistribution(0.32, 0.36, 0.32)
+        assert np.array_equal(susceptibility_grid(model, pops, grid161),
+                              susceptibility_grid(off, pops, grid161))
 
     def test_linearity_in_populations(self, reference_model, grid161):
         p1 = PopulationDistribution(0.7, 0.2, 0.1)
