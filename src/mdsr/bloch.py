@@ -25,16 +25,20 @@ probe-free generator L0 because no field other than the probe drives that
 manifold (its rows of H are diagonal), and decay feeds only populations;
 so L0 has no entry between the block and the rest.  The probe drive of the
 frozen ground populations lies in the block and its conjugate transpose.
+The probe detuning moves only frame offsets, so a scan is one stacked solve
+on L0(0) + delta * diag(slope).  Block entries that L0 couples to no other
+(off-diagonal entries only) and the probe does not drive are exactly 0 and
+left out: at gamma_ab = 0 their diagonal alone vanishes on two-photon resonance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .levels import LevelScheme, Manifold, Sublevel
+from .levels import LevelScheme, Manifold
 
 # steady_state's kernel and residual bounds, relative to max(||L||_2, 1)
 KERNEL_TOL = 1e-10
@@ -234,19 +238,17 @@ def weak_probe_coherences(
     probe: LaserField,
     decay: DecayModel,
     ground_populations: dict,
-    delta_p: float,
+    delta_p,
 ) -> np.ndarray:
-    """First-order probe response of the full Liouvillian with frozen populations.
+    """First-order probe response of the full Liouvillian with frozen populations,
+    one (n, n) matrix per probe detuning in delta_p (MHz; a scalar or an array).
 
-    Returns the first-order density-matrix correction: the generator is split
-    into L0 (coupling + frames, probe drive removed) and the probe drive, and
-    L0 rho1 = -(-i[H_drive, rho0]) is solved with rho0 = diag(ground_populations).
-    This is the regime of the additive susceptibility decomposition, where
-    ground populations enter as external parameters.
-
-    Only the block of rho1 with a row in the probe's ground manifold and a
-    column outside it is solved (3 x 10 unknowns on the 13-level scheme); the
-    [e, g] half is its conjugate transpose and every other entry is zero.
+    L0 rho1 = -(-i[H_drive, rho0]) is solved, L0 the generator without the
+    probe drive and rho0 = diag(ground_populations), populations of the
+    probe's ground manifold: the regime of the additive susceptibility
+    decomposition.  Only the [g, e] block is solved (module docstring), with
+    right-hand side -i P_g H_drive[g, e]; the [e, g] half is its conjugate
+    transpose and every other entry is zero.
 
     The result is returned in the sign convention of
     `lambda_coherence_analytic`: with the -Omega/2 Hamiltonian convention the
@@ -259,24 +261,32 @@ def weak_probe_coherences(
     if coupling.transition[0] is gman:
         raise ValueError("the coupling drives the probe's ground manifold, "
                          "so the first-order probe block is not closed")
-    probe_at = LaserField(probe.q, probe.rabi_scale, delta_p, probe.transition)
-    h_full = build_hamiltonian(scheme, [coupling, probe_at])
-    h0 = build_hamiltonian(scheme, [coupling, LaserField(probe.q, 0.0, delta_p, probe.transition)])
-    hdrive = h_full - h0
-
-    l0 = build_liouvillian(h0, scheme, decay)
+    if not set(ground_populations) <= set(scheme.manifold_levels(gman)):
+        raise ValueError("ground_populations must be sublevels of the probe's ground manifold")
+    delta = np.asarray(delta_p, dtype=float)
+    if not np.isfinite(delta).all():
+        raise ValueError("delta_p must be finite")
     n = scheme.dim
-    rho0 = np.zeros((n, n), dtype=complex)
-    for s, p in ground_populations.items():
-        rho0[scheme.index(s), scheme.index(s)] = p
-    drive = -1j * (hdrive @ rho0 - rho0 @ hdrive)
-
     in_g = np.array([s.manifold is gman for s in scheme.sublevels])
     rows, cols = np.flatnonzero(in_g), np.flatnonzero(~in_g)
     block = (rows[:, None] * n + cols).reshape(-1)
-    sol, *_ = np.linalg.lstsq(l0[np.ix_(block, block)],
-                              -drive[np.ix_(rows, cols)].reshape(-1), rcond=None)
-    rho1 = np.zeros((n, n), dtype=complex)
-    rho1[np.ix_(rows, cols)] = sol.reshape(rows.size, cols.size)
-    rho1[np.ix_(cols, rows)] = rho1[np.ix_(rows, cols)].conj().T
+
+    # only the probe drives the ground manifold: its [g, e] block is H_drive
+    h = build_hamiltonian(scheme, [coupling, replace(probe, detuning=0.0)])
+    pops = np.array([ground_populations.get(s, 0.0) for s in scheme.sublevels])
+    rhs = (-1j * pops[rows, None] * h[rows[:, None], cols]).reshape(-1)
+    h[rows[:, None], cols] = h[cols[:, None], rows] = 0.0
+    l0 = build_liouvillian(h, scheme, decay)[block[:, None], block]
+    frame = _frame_offsets(scheme, [replace(coupling, detuning=0.0), replace(probe, detuning=1.0)])
+    shift = np.array([frame[s.manifold] for s in scheme.sublevels])  # d H_ii / d delta_p
+    slope = (-1j * (shift[rows, None] - shift[cols])).reshape(-1)
+
+    coupled = l0 - np.diag(np.diag(l0)) != 0
+    keep = coupled.any(axis=0) | coupled.any(axis=1) | (rhs != 0)
+    a0 = l0[keep][:, keep]
+    rho1 = np.zeros(delta.shape + (n * n,), dtype=complex)
+    rho1[..., block[keep]] = np.linalg.solve(
+        a0 + (delta[..., None] * slope[keep])[..., None] * np.eye(len(a0)), rhs[keep])
+    rho1 = rho1.reshape(delta.shape + (n, n))
+    rho1[..., cols[:, None], rows] = np.swapaxes(rho1[..., rows[:, None], cols], -1, -2).conj()
     return -rho1

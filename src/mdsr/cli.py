@@ -27,8 +27,10 @@ def _parse_triple(raw: str, what: str) -> np.ndarray:
         parts = [float(x) for x in raw.split(",")]
     except ValueError:
         raise SystemExit(f"error: cannot parse {what} {raw!r}")
-    if len(parts) != 3 or not np.isfinite(parts).all() or min(parts) < 0 or sum(parts) <= 0:
-        raise SystemExit(f"error: {what} must be three non-negative numbers")
+    # a sum that overflows to inf would normalize to all zeros
+    if (len(parts) != 3 or not np.isfinite(parts).all() or min(parts) < 0
+            or not 0 < sum(parts) < np.inf):
+        raise SystemExit(f"error: {what} must be three non-negative numbers with a finite, positive sum")
     arr = np.array(parts)
     return arr / arr.sum()
 

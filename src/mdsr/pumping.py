@@ -81,10 +81,6 @@ class PopulationState:
         if not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("populations must be finite, non-negative and sum to 1")
 
-    def manifold_total(self, manifold: Manifold) -> float:
-        return float(sum(self.pops[self.scheme.index(s)]
-                         for s in self.scheme.manifold_levels(manifold)))
-
     def g1_distribution(self) -> np.ndarray:
         """Normalized distribution over a_-1, a_0, a_+1 (uniform if G1 is empty)."""
         return _g1_shares(self.pops, _g1_index(self.scheme))

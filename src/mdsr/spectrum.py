@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import DecayModel, LaserField, lambda_coherence_analytic
-from .levels import D1_WAVELENGTH_NM, LevelScheme
+from .levels import D1_WAVELENGTH_NM, LevelScheme, Manifold
 
 HBAR_JS = 1.054571817e-34
 EPSILON0_F_PER_M = 8.8541878128e-12
@@ -64,6 +64,10 @@ class ExperimentModel:
             raise ValueError("n_f1 must be finite and >= 0")
         if not (math.isfinite(self.path_length_mm) and self.path_length_mm > 0):
             raise ValueError("path_length_mm must be finite and > 0")
+        if self.probe.transition[0] is not Manifold.G1:
+            raise ValueError("the probe must address the F=1 ground manifold")
+        if self.coupling.transition[0] is Manifold.G1:
+            raise ValueError("the coupling must not drive the probe's F=1 ground manifold")
         if self.coupling.rabi_scale > 0 and self.probe.rabi_scale > 0.2 * self.coupling.rabi_scale:
             warnings.warn(
                 "probe Rabi scale is not small compared to the coupling; "

@@ -23,11 +23,7 @@ from .bloch import (
 from .config import RunConfig
 from .levels import LevelScheme, Manifold, Sublevel, build_level_scheme, relative_dipole
 from .pumping import PumpConfig, evolve_populations, pump_rate_matrix, uniform_g1_state
-from .spectrum import (
-    PopulationDistribution,
-    susceptibility_grid,
-    synth_spectrum,
-)
+from .spectrum import PopulationDistribution, susceptibility_grid, synth_spectrum
 
 
 @dataclass(frozen=True)
@@ -131,32 +127,34 @@ def check_b0_trap() -> CheckResult:
     return CheckResult("b0-trap-stationarity", res == 0.0, f"|L rho_b0| = {res:.2e}")
 
 
+# the closed Lambda (a_-1, b_-2, c_-2) and the detunings (MHz) of criteria 1 and 7
+LAMBDA = (Sublevel(Manifold.G1, -1), Sublevel(Manifold.G2, -2), Sublevel(Manifold.E2, -2))
+ORACLE_GRID = np.arange(-80.0, 80.5, 1.0)
+
+
+def _lambda_deviation(model, coherence, omega_p, weight=1.0) -> float:
+    """Worst relative Im deviation of coherence (one value per ORACLE_GRID
+    point) from weight times the analytic Lambda coherence at probe Rabi
+    scale omega_p, over the points where the analytic Im part exceeds 1e-6."""
+    a, b, c = LAMBDA
+    ana = weight * lambda_coherence_analytic(
+        relative_dipole(a, c, -1) * omega_p, abs(relative_dipole(b, c, 0)) * model.coupling.rabi_scale,
+        ORACLE_GRID, 0.0, model.decay.gamma_ac, model.decay.gamma_ab)
+    seen = np.abs(ana.imag) > 1e-6
+    return float(np.max(np.abs(coherence.imag - ana.imag)[seen] / np.abs(ana.imag[seen])))
+
+
 def oracle_linear_response_deviation() -> float:
     """Worst relative Im deviation of the 13-level frozen-population probe
     response from the analytic Lambda coherence, over -80..80 MHz at B = 0."""
     model = RunConfig(b_field=0.0).experiment_model()
-    scheme = model.scheme
-    a = Sublevel(Manifold.G1, -1)
-    c = Sublevel(Manifold.E2, -2)
-    b = Sublevel(Manifold.G2, -2)
+    a, _b, c = (model.scheme.index(s) for s in LAMBDA)
     pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
-    rel_p = relative_dipole(a, c, -1)
-    rel_c = relative_dipole(b, c, 0)
-    worst = 0.0
-    for dp in np.arange(-80.0, 80.5, 1.0):
-        rho1 = weak_probe_coherences(scheme, model.coupling, model.probe,
-                                     model.decay, pops, dp)
-        num = rho1[scheme.index(a), scheme.index(c)]
-        ana = (1 / 3) * lambda_coherence_analytic(
-            rel_p * model.probe.rabi_scale, abs(rel_c) * model.coupling.rabi_scale,
-            dp, 0.0, model.decay.gamma_ac, model.decay.gamma_ab)
-        if abs(ana.imag) > 1e-6:
-            worst = max(worst, abs(num.imag - ana.imag) / abs(ana.imag))
-    return worst
+    rho1 = weak_probe_coherences(model.scheme, model.coupling, model.probe, model.decay, pops, ORACLE_GRID)
+    return _lambda_deviation(model, rho1[:, a, c], model.probe.rabi_scale, 1 / 3)
 
 
 def check_oracle_linear_response() -> CheckResult:
-    """13-level frozen-population probe response vs the analytic Lambda coherence."""
     worst = oracle_linear_response_deviation()
     return CheckResult("oracle-13-level-linear-response", worst < 0.01,
                        f"max relative Im deviation {worst:.2e}")
@@ -165,26 +163,18 @@ def check_oracle_linear_response() -> CheckResult:
 def check_oracle_nonlinear_steady_state() -> CheckResult:
     """True Lindblad steady state of the closed Lambda subsystem vs the formula."""
     model = RunConfig(b_field=0.0).experiment_model()
-    a, b, c = Sublevel(Manifold.G1, -1), Sublevel(Manifold.G2, -2), Sublevel(Manifold.E2, -2)
-    sub = restrict_scheme(model.scheme, (a, b, c))
-    coupling, decay = model.coupling, model.decay
+    sub = restrict_scheme(model.scheme, LAMBDA)
     omega_p = 0.1  # below saturation so the first-order formula applies
-    probe = replace(model.probe, rabi_scale=omega_p)
-    rel_p = relative_dipole(a, c, -1)
-    rel_c = relative_dipole(b, c, 0)
+    # the generator is affine in the probe detuning: L(d) = L(0) + d (L(1) - L(0))
+    l0, l1 = (build_liouvillian(build_hamiltonian(sub, [model.coupling, replace(
+        model.probe, rabi_scale=omega_p, detuning=d)]), sub, model.decay) for d in (0.0, 1.0))
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    worst = 0.0
-    for dp in np.arange(-80.0, 80.5, 1.0):
-        probe_at = replace(probe, detuning=dp)
-        h = build_hamiltonian(sub, [coupling, probe_at])
-        lmat = build_liouvillian(h, sub, decay)
+    coherence = []
+    for lmat in l0 + ORACLE_GRID[:, None, None] * (l1 - l0):
         rho = steady_state(lmat, rho0)
         validate_density_matrix(rho)
-        num = -rho[sub.index(a), sub.index(c)]  # absorption sign convention
-        ana = lambda_coherence_analytic(rel_p * omega_p, abs(rel_c) * coupling.rabi_scale,
-                                        dp, 0.0, decay.gamma_ac, decay.gamma_ab)
-        if abs(ana.imag) > 1e-6:
-            worst = max(worst, abs(num.imag - ana.imag) / abs(ana.imag))
+        coherence.append(-rho[0, 2])  # rho_ac, absorption sign convention
+    worst = _lambda_deviation(model, np.array(coherence), omega_p)
     return CheckResult("oracle-lambda-steady-state", worst < 0.01,
                        f"max relative Im deviation {worst:.2e}")
 

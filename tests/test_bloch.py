@@ -319,13 +319,12 @@ class TestOracleEquivalence:
         pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
         rel_p = relative_dipole(a, c, -1)
         rel_c = relative_dipole(b, c, 0)
-        for dp in (-60.0, -39.0, -5.0, 0.0, 12.0, 39.0, 70.0):
-            rho1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, dp)
-            num = rho1[scheme.index(a), scheme.index(c)]
-            ana = (1 / 3) * lambda_coherence_analytic(
-                rel_p * PROBE.rabi_scale, abs(rel_c) * COUPLING.rabi_scale,
-                dp, 0.0, DECAY.gamma_ac, DECAY.gamma_ab)
-            assert num == pytest.approx(ana, rel=1e-8)
+        grid = np.array([-60.0, -39.0, -5.0, 0.0, 12.0, 39.0, 70.0])
+        rho1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, grid)
+        ana = (1 / 3) * lambda_coherence_analytic(
+            rel_p * PROBE.rabi_scale, abs(rel_c) * COUPLING.rabi_scale,
+            grid, 0.0, DECAY.gamma_ac, DECAY.gamma_ab)
+        assert rho1[:, scheme.index(a), scheme.index(c)] == pytest.approx(ana, rel=1e-8)
 
     def test_restricted_lambda_steady_state_matches_analytic(self):
         scheme = build_level_scheme(0.0)
@@ -351,10 +350,10 @@ class TestOracleEquivalence:
         scheme = build_level_scheme(0.0)
         flipped = replace(scheme, couplings={k: -v for k, v in scheme.couplings.items()})
         pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
-        for dp in (-39.0, 0.0, 17.0):
-            r1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, dp)
-            r2 = weak_probe_coherences(flipped, COUPLING, PROBE, DECAY, pops, dp)
-            assert np.abs(np.abs(r1) - np.abs(r2)).max() < 1e-12
+        grid = np.array([-39.0, 0.0, 17.0])
+        r1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, grid)
+        r2 = weak_probe_coherences(flipped, COUPLING, PROBE, DECAY, pops, grid)
+        assert np.abs(np.abs(r1) - np.abs(r2)).max() < 1e-12
 
     def test_block_solve_matches_full_liouville_space_lstsq(self):
         scheme = build_level_scheme(0.15)
@@ -365,7 +364,9 @@ class TestOracleEquivalence:
         for s, p in pops.items():
             rho0[scheme.index(s), scheme.index(s)] = p
         eye = np.eye(n)
-        for dp in (-45.0, -33.0, 0.0, 6.0, 27.5):
+        grid = np.array([-45.0, -33.0, 0.0, 6.0, 27.5])
+        scan = weak_probe_coherences(scheme, coupling, PROBE, DECAY, pops, grid)
+        for dp, rho1 in zip(grid, scan):
             probe_at = replace(PROBE, detuning=dp)
             h0 = build_hamiltonian(scheme, [coupling, replace(probe_at, rabi_scale=0.0)])
             hdrive = build_hamiltonian(scheme, [coupling, probe_at]) - h0
@@ -373,7 +374,6 @@ class TestOracleEquivalence:
             rhs = -(ldrive @ rho0.reshape(-1))
             full, *_ = np.linalg.lstsq(kron_liouvillian(h0, scheme, DECAY), rhs, rcond=None)
             expected = -full.reshape(n, n)
-            rho1 = weak_probe_coherences(scheme, coupling, PROBE, DECAY, pops, dp)
             assert np.abs(rho1 - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_coupling_on_probe_ground_manifold_rejected(self):
@@ -382,3 +382,71 @@ class TestOracleEquivalence:
         pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
         with pytest.raises(ValueError, match="not closed"):
             weak_probe_coherences(scheme, coupling, PROBE, DECAY, pops, 0.0)
+
+    @pytest.mark.parametrize("bad", [Sublevel(Manifold.E2, -2), Sublevel(Manifold.G2, 0)])
+    def test_populations_outside_probe_ground_manifold_rejected(self, bad):
+        scheme = build_level_scheme(0.15)
+        pops = {Sublevel(Manifold.G1, -1): 0.5, bad: 0.5}
+        with pytest.raises(ValueError, match="ground manifold"):
+            weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_detuning_rejected(self, bad):
+        scheme = build_level_scheme(0.15)
+        pops = {Sublevel(Manifold.G1, m): 1 / 3 for m in (-1, 0, 1)}
+        with pytest.raises(ValueError, match="finite"):
+            weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, pops, np.array([0.0, bad]))
+
+
+def per_detuning_coherences(scheme, coupling, probe, decay, ground_populations, delta_p):
+    """Reference for `weak_probe_coherences` at one detuning: both
+    Hamiltonians, the Liouvillian and the commutator drive of rho0 rebuilt,
+    and the whole [g, e] block solved by least squares."""
+    probe_at = LaserField(probe.q, probe.rabi_scale, delta_p, probe.transition)
+    h_full = build_hamiltonian(scheme, [coupling, probe_at])
+    h0 = build_hamiltonian(scheme, [coupling, replace(probe_at, rabi_scale=0.0)])
+    hdrive = h_full - h0
+    l0 = build_liouvillian(h0, scheme, decay)
+    n = scheme.dim
+    rho0 = np.zeros((n, n), dtype=complex)
+    for s, p in ground_populations.items():
+        rho0[scheme.index(s), scheme.index(s)] = p
+    drive = -1j * (hdrive @ rho0 - rho0 @ hdrive)
+    in_g = np.array([s.manifold is probe.transition[0] for s in scheme.sublevels])
+    rows, cols = np.flatnonzero(in_g), np.flatnonzero(~in_g)
+    block = (rows[:, None] * n + cols).reshape(-1)
+    sol, *_ = np.linalg.lstsq(l0[np.ix_(block, block)],
+                              -drive[np.ix_(rows, cols)].reshape(-1), rcond=None)
+    rho1 = np.zeros((n, n), dtype=complex)
+    rho1[np.ix_(rows, cols)] = sol.reshape(rows.size, cols.size)
+    rho1[np.ix_(cols, rows)] = rho1[np.ix_(rows, cols)].conj().T
+    return -rho1
+
+
+class TestDetuningScan:
+    GRID = np.arange(-80.0, 80.25, 0.5)
+    POPS = {Sublevel(Manifold.G1, m): p for m, p in zip((-1, 0, 1), (0.5, 0.3, 0.2))}
+
+    # the reference parameters at B = 0, 0.15 and 0.9 G, and gamma_ab = 0 and 2
+    # with each coupling polarization at B = 0 and 0.15 G
+    @pytest.mark.parametrize("b_field,q,gamma_ab", [
+        (0.9, 0, 2.0), *itertools.product((0.0, 0.15), (-1, 0, 1), (0.0, 2.0)),
+    ])
+    def test_one_grid_call_matches_per_detuning_reference(self, b_field, q, gamma_ab):
+        # at gamma_ab = 0, B = 0 the grid holds two-photon resonances where
+        # undriven, uncoupled block entries have a zero diagonal
+        scheme = build_level_scheme(b_field)
+        coupling = replace(COUPLING, q=q)
+        decay = DecayModel(gamma_ab, 4.0)
+        scan = weak_probe_coherences(scheme, coupling, PROBE, decay, self.POPS, self.GRID)
+        assert scan.shape == (self.GRID.size, scheme.dim, scheme.dim)
+        for dp, rho1 in zip(self.GRID, scan):
+            expected = per_detuning_coherences(scheme, coupling, PROBE, decay, self.POPS, dp)
+            assert np.abs(rho1 - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_scalar_detuning_gives_one_matrix(self):
+        scheme = build_level_scheme(0.15)
+        rho1 = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, self.POPS, 3.0)
+        assert rho1.shape == (scheme.dim, scheme.dim)
+        grid = weak_probe_coherences(scheme, COUPLING, PROBE, DECAY, self.POPS, np.array([3.0]))
+        assert np.array_equal(rho1, grid[0])

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from mdsr.io import read_spectrum
+from mdsr.validate import ALL_CHECKS, run_checks
 
 from conftest import cli_env
 
@@ -108,7 +109,7 @@ class TestSynth:
         assert proc.returncode != 0
         assert "--pops must be three non-negative numbers" in proc.stderr
 
-    @pytest.mark.parametrize("pops", ["nan,1,1", "inf,1,1"])
+    @pytest.mark.parametrize("pops", ["nan,1,1", "inf,1,1", "1e308,1e308,1e308"])
     def test_non_finite_pops_rejected(self, tmp_path, pops):
         proc = run_cli(["synth", "--pops", pops], tmp_path)
         assert proc.returncode == 1
@@ -203,7 +204,7 @@ class TestPumpDesign:
         assert "target not reachable" in proc.stderr
         assert float(read_kv(out)["target_distance"]) > 0.02
 
-    @pytest.mark.parametrize("target", ["nan,1,1", "1,inf,0"])
+    @pytest.mark.parametrize("target", ["nan,1,1", "1,inf,0", "1e308,1e308,1e308"])
     def test_non_finite_target_rejected(self, tmp_path, target):
         out = tmp_path / "plan.txt"
         proc = run_cli(["pump-design", "--target", target, "--out", str(out)], tmp_path)
@@ -243,9 +244,12 @@ class TestValidate:
     def test_all_checks_pass(self, tmp_path):
         proc = run_cli(["validate"], tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "FAIL" not in proc.stdout
-        lines = [l for l in proc.stdout.splitlines() if l.startswith("PASS")]
-        assert len(lines) >= 10
+        names = [r.name for r in run_checks()]
+        lines = proc.stdout.splitlines()
+        for name in names:
+            assert sum(line.startswith(f"PASS  {name}: ") for line in lines) == 1, name
+        assert len(lines) == len(ALL_CHECKS) + 1
+        assert lines[-1] == f"{len(ALL_CHECKS)}/{len(ALL_CHECKS)} checks passed"
 
     @pytest.mark.parametrize("check", ["check_rate_conservation", "check_pump_dark_states"])
     def test_pump_checks_build_one_level_scheme(self, monkeypatch, check):

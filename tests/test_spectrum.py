@@ -80,6 +80,18 @@ class TestExperimentModel:
         with pytest.raises(ValueError, match="finite"):
             replace(reference_model, path_length_mm=bad)
 
+    def test_rejects_probe_off_the_f1_ground_manifold(self, reference_model):
+        # the readout has one term per F=1 sublevel; a G2 probe used to build
+        # and then fail inside numpy with a (3,) vs (5,) broadcast error
+        probe = LaserField(-1, 1.0, 0.0, (Manifold.G2, Manifold.E2))
+        with pytest.raises(ValueError, match="F=1 ground manifold"):
+            replace(reference_model, probe=probe)
+
+    def test_rejects_coupling_on_the_probe_ground_manifold(self, reference_model):
+        coupling = LaserField(0, 78.0, 0.0, (Manifold.G1, Manifold.E2))
+        with pytest.raises(ValueError, match="coupling must not drive"):
+            replace(reference_model, coupling=coupling)
+
 
 class TestSusceptibility:
     def test_absorption_positive(self, reference_model, grid161):
@@ -186,14 +198,11 @@ class TestLiouvillianOracle:
         links = [(a, Sublevel(eman, a.m + q)) for a in by_level]
         scale = susceptibility_prefactor(model.n_f1, scheme.reduced_dipole) / model.probe.rabi_scale
         grid = np.linspace(-80.0, 80.0, 161)
-        oracle = []
-        for dp in grid:
-            rho1 = weak_probe_coherences(scheme, model.coupling, model.probe, model.decay,
-                                         by_level, dp)
-            oracle.append(scale * sum(scheme.coupling(a, c, q) * rho1[scheme.index(a), scheme.index(c)]
-                                      for a, c in links))
+        rho1 = weak_probe_coherences(scheme, model.coupling, model.probe, model.decay, by_level, grid)
+        oracle = scale * sum(scheme.coupling(a, c, q) * rho1[:, scheme.index(a), scheme.index(c)]
+                             for a, c in links)
         chi = susceptibility_grid(model, PopulationDistribution(*pops), grid)
-        assert np.max(np.abs(np.array(oracle) - chi) / np.abs(chi)) <= 1e-12
+        assert np.max(np.abs(oracle - chi) / np.abs(chi)) <= 1e-12
 
 
 class TestTransmission:
