@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .fitting import FitProblem, fit_populations
 from .io import format_float, read_spectrum, write_spectrum, write_text
 from .levels import build_level_scheme
@@ -26,31 +26,24 @@ def _parse_triple(raw: str, what: str) -> np.ndarray:
     try:
         parts = [float(x) for x in raw.split(",")]
     except ValueError:
-        raise SystemExit(f"error: cannot parse {what} {raw!r}")
+        raise ValueError(f"cannot parse {what} {raw!r}") from None
     # a sum that overflows to inf would normalize to all zeros
     if (len(parts) != 3 or not np.isfinite(parts).all() or min(parts) < 0
             or not 0 < sum(parts) < np.inf):
-        raise SystemExit(f"error: {what} must be three non-negative numbers with a finite, positive sum")
+        raise ValueError(f"{what} must be three non-negative numbers with a finite, positive sum")
     arr = np.array(parts)
     return arr / arr.sum()
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        try:
-            return load_config(args.config)
-        except FileNotFoundError:
-            raise SystemExit(f"error: config file not found: {args.config}")
-        except ConfigError as exc:
-            raise SystemExit(f"error: {exc}")
-    return RunConfig()
+    return load_config(args.config) if args.config else RunConfig()
 
 
 def cmd_synth(args) -> int:
     if not (np.isfinite(args.noise) and args.noise >= 0):
-        raise SystemExit(f"error: --noise must be finite and >= 0, got {args.noise!r}")
+        raise ValueError(f"--noise must be finite and >= 0, got {args.noise!r}")
     if args.seed < 0:
-        raise SystemExit(f"error: --seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_config(args)
     model = cfg.experiment_model()
     pops_arr = _parse_triple(args.pops, "--pops") if args.pops else np.full(3, 1 / 3)
@@ -70,21 +63,12 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     model = cfg.experiment_model()
-    try:
-        observed = read_spectrum(args.spectrum)
-    except FileNotFoundError:
-        raise SystemExit(f"error: spectrum file not found: {args.spectrum}")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    try:
-        problem = FitProblem(
-            observed=observed,
-            model_template=model,
-            fit_density=cfg.fit_density,
-            max_iterations=cfg.fit_max_iterations,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    problem = FitProblem(
+        observed=read_spectrum(args.spectrum),
+        model_template=model,
+        fit_density=cfg.fit_density,
+        max_iterations=cfg.fit_max_iterations,
+    )
     result = fit_populations(problem)
     p = result.pops.as_array()
     print("fitted ground-state populations (F=1):")
@@ -198,8 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad input or an unusable path is one `error:` line and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        message = f"path not found: {exc.filename}"
+    except (OSError, ValueError) as exc:   # ValueError covers ConfigError and UnicodeDecodeError
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

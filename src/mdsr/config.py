@@ -1,11 +1,17 @@
-"""Run configuration: sectioned key = value text, validated, reference default values."""
+"""Run configuration: sectioned key = value text, validated, reference default values.
+
+`RunConfig`'s fields are the settable keys: a field `scan_*`, `fit_*` or `pump_*`
+is the rest of its name in that section (`scan_step` is `[scan] step`), any
+other field an `[experiment]` key of its own name, typed as its default.
+Values are literal (no `%` interpolation); there is no `[DEFAULT]` section.
+"""
 
 from __future__ import annotations
 
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +29,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # experiment
     omega_c: float = 78.0        # coupling Rabi scale, MHz
@@ -53,10 +59,10 @@ class RunConfig:
             if not cond:
                 raise ConfigError(f"{name} out of range: {value!r}")
 
-        for (section, key), (attr, kind) in _FIELD_MAP.items():
+        for where, (attr, kind) in _KEYS.items():
             if kind is float:
                 value = getattr(self, attr)
-                check(math.isfinite(value), f"{section}.{key}", value)
+                check(math.isfinite(value), where, value)
         check(0 <= self.omega_c <= 500, "experiment.omega_c", self.omega_c)
         check(0 <= self.omega_p <= 500, "experiment.omega_p", self.omega_p)
         lo, hi = N_F1_RANGE_CM3
@@ -99,46 +105,26 @@ class RunConfig:
         return self.scan_start + self.scan_step * np.arange(int(self._scan_points()))
 
 
-_FIELD_MAP = {
-    ("experiment", "omega_c"): ("omega_c", float),
-    ("experiment", "omega_p"): ("omega_p", float),
-    ("experiment", "coupling_detuning"): ("coupling_detuning", float),
-    ("experiment", "gamma_ab"): ("gamma_ab", float),
-    ("experiment", "gamma_ac"): ("gamma_ac", float),
-    ("experiment", "b_field"): ("b_field", float),
-    ("experiment", "n_f1"): ("n_f1", float),
-    ("experiment", "path_length"): ("path_length", float),
-    ("scan", "start"): ("scan_start", float),
-    ("scan", "stop"): ("scan_stop", float),
-    ("scan", "step"): ("scan_step", float),
-    ("fit", "density"): ("fit_density", "bool"),
-    ("fit", "max_iterations"): ("fit_max_iterations", int),
-    ("pump", "beam_diameter"): ("pump_beam_diameter", float),
-    ("pump", "duration"): ("pump_duration", float),
-}
+def _key(name: str) -> str:
+    section, _, key = name.partition("_")
+    return f"{section}.{key}" if section in ("scan", "fit", "pump") else f"experiment.{name}"
+
+
+# "section.key" -> (field name, type of its default)
+_KEYS = {_key(f.name): (f.name, type(f.default)) for f in fields(RunConfig)}
 
 
 def _convert(kind, raw, where):
     try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-    except ValueError:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"cannot parse value for {where}: {raw!r}") from None
-    raise AssertionError(kind)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse sectioned key = value config text; empty input gives the reference defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
@@ -148,16 +134,11 @@ def parse_config(text: str) -> RunConfig:
     for section in parser.sections():
         for key, raw in parser.items(section):
             where = f"{section}.{key}"
-            if (section, key) not in _FIELD_MAP:
+            if where not in _KEYS:
                 raise ConfigError(f"unknown config field {where}")
-            attr, kind = _FIELD_MAP[(section, key)]
+            attr, kind = _KEYS[where]
             values[attr] = _convert(kind, raw, where)
-    try:
-        return RunConfig(**values)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

@@ -159,7 +159,7 @@ def _solve(basis: np.ndarray, observed: np.ndarray, lo: float, hi: float, max_it
     """Fit exp(-basis @ x) to observed on {x >= 0, lo <= sum(x) <= hi}.
 
     Damped Gauss-Newton from the -ln T start; accepted steps never increase
-    the residual norm.  Returns (x, residual_vector, iterations, stop_reason).
+    the residual norm.  Returns (x, exp(-basis @ x), iterations, stop_reason).
     """
     k = basis.shape[1]
     keep = observed > WARM_START_FLOOR
@@ -178,7 +178,7 @@ def _solve(basis: np.ndarray, observed: np.ndarray, lo: float, hi: float, max_it
         for _ in range(MAX_DAMPING_TRIES):
             y = _bounded_lsq(*_damped(jac, jac @ x - r, lam, x), lo, hi)
             if np.linalg.norm(y - x) < STEP_TOL:
-                return x, r, iteration, "step"
+                return x, t, iteration, "step"
             t_new = np.exp(-basis @ y)
             r_new = t_new - observed
             cost_new = float(r_new @ r_new)
@@ -186,13 +186,13 @@ def _solve(basis: np.ndarray, observed: np.ndarray, lo: float, hi: float, max_it
                 break
             lam *= 10
         else:
-            return x, r, iteration, "damping"
+            return x, t, iteration, "damping"
         decrease = cost - cost_new
         x, t, r, cost = y, t_new, r_new, cost_new
         lam = max(lam / 10, MIN_DAMPING)
         if decrease < RESIDUAL_DECREASE_TOL:
-            return x, r, iteration, "decrease"
-    return x, r, max_iter, "iterations"
+            return x, t, iteration, "decrease"
+    return x, t, max_iter, "iterations"
 
 
 def _basis(problem: FitProblem) -> np.ndarray:
@@ -210,14 +210,14 @@ def fit_populations(problem: FitProblem) -> FitResult:
     """Least-squares inversion of the observed spectrum for populations
     (and optionally density).  Deterministic: one start, computed from the data."""
     basis = _basis(problem)
-    x, _r, iterations, stop_reason = _solve(basis, problem.observed.transmission,
-                                            *_sum_bounds(problem), problem.max_iterations)
+    x, t, iterations, stop_reason = _solve(basis, problem.observed.transmission,
+                                           *_sum_bounds(problem), problem.max_iterations)
     pops = PopulationDistribution(*(x / x.sum()))
     n = problem.model_template.n_f1
     if problem.fit_density:
         n = float(np.clip(n * x.sum(), *N_F1_RANGE_CM3))
     r = residuals(problem, pops, n)
-    jac = np.exp(-basis @ x)[:, None] * basis
+    jac = t[:, None] * basis
     return FitResult(
         pops=pops,
         n_f1=n,
@@ -266,8 +266,9 @@ def profile_scan(problem: FitProblem, param: str, grid) -> list:
         else:
             mapped = basis @ _pinned_population_map(PROFILE_PARAMS.index(param), value)
             bounds = lo, hi
-        _x, r, _iters, stop_reason = _solve(mapped, problem.observed.transmission, *bounds,
+        _x, t, _iters, stop_reason = _solve(mapped, problem.observed.transmission, *bounds,
                                             problem.max_iterations)
+        r = t - problem.observed.transmission
         out.append(ProfilePoint(float(value), float(np.sqrt((r @ r) / r.size)),
                                 stop_reason in CONVERGED_STOPS))
     return out

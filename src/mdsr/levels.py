@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
@@ -64,16 +64,14 @@ def _lande_g(manifold: Manifold) -> Fraction:
 _G_FACTORS = {manifold: _lande_g(manifold) for manifold in Manifold}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Sublevel:
-    manifold: Manifold = field(compare=False)
-    m: int = field(compare=False)
-    sort_index: tuple = field(init=False, repr=False)
+    manifold: Manifold
+    m: int
 
     def __post_init__(self):
         if abs(self.m) > self.manifold.f:
             raise ValueError(f"|m|={abs(self.m)} exceeds F={self.manifold.f} for {self.manifold}")
-        object.__setattr__(self, "sort_index", (self.manifold.is_excited, self.manifold.f, self.m))
 
     def __str__(self):
         tag = {Manifold.G1: "a", Manifold.G2: "b", Manifold.E2: "c", Manifold.E1: "e"}[self.manifold]

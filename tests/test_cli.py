@@ -1,12 +1,14 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mdsr.io import read_spectrum
+from mdsr.io import read_spectrum, write_spectrum
+from mdsr.spectrum import PopulationDistribution, synth_spectrum
 from mdsr.validate import ALL_CHECKS, run_checks
 
-from conftest import cli_env
+from conftest import cli_env, make_model
 
 
 def run_cli(args, cwd, env=None):
@@ -271,6 +273,56 @@ class TestValidate:
         monkeypatch.setattr(mdsr.validate, "build_level_scheme", counting)
         assert getattr(mdsr.validate, check)().passed
         assert built == [((0.15,), {"include_e1": True})]
+
+
+def _write_config(tmp_path, data):
+    (tmp_path / "run.ini").write_bytes(data)
+    return ["--config", "run.ini"]
+
+
+def _make_dir(tmp_path, name):
+    (tmp_path / name).mkdir()
+    return name
+
+
+# each builds the input files in tmp_path and returns the arguments naming them
+BAD_CONFIGS = {
+    "percent_value": lambda tmp: _write_config(tmp, b"[experiment]\nomega_c = 60%\n"),
+    "default_section": lambda tmp: _write_config(tmp, b"[DEFAULT]\nomega_c = 60\n"),
+    "config_is_directory": lambda tmp: ["--config", _make_dir(tmp, "conf.d")],
+    "config_not_utf8": lambda tmp: _write_config(tmp, b"[experiment]\nomega_c = 6\xff0\n"),
+}
+BAD_OUTS = {
+    "out_in_missing_directory": lambda tmp: ["--out", "missing/result.txt"],
+    "out_is_directory": lambda tmp: ["--out", _make_dir(tmp, "out.d")],
+}
+COMMANDS = {
+    "synth": ["synth"],
+    "fit": ["fit", "spec.csv"],
+    "pump-design": ["pump-design", "--target", "0.2,0.3,0.5"],
+}
+EDGE_CASES = [
+    pytest.param(command, bad, id=f"{name}-{bad_name}")
+    for name, command in COMMANDS.items()
+    for bad_name, bad in {**BAD_CONFIGS, **BAD_OUTS}.items()
+] + [pytest.param([], lambda tmp: ["fit", _make_dir(tmp, "spec.d")],
+                  id="fit-spectrum_is_directory")]
+
+
+@pytest.mark.parametrize("command,bad", EDGE_CASES)
+def test_bad_path_or_config_is_one_error_line(tmp_path, command, bad):
+    # unreadable, unwritable or invalid inputs end in one "error:" line and
+    # exit 1, with no traceback and no file written
+    write_spectrum(synth_spectrum(make_model(), PopulationDistribution(0.32, 0.36, 0.32),
+                                  np.linspace(-80.0, 80.0, 161)), tmp_path / "spec.csv")
+    args = command + bad(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 NO_SCIPY_SCRIPT = """

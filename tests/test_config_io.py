@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -118,6 +119,47 @@ class TestParseConfig:
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
             RunConfig(gamma_ab=5.0, gamma_ac=4.0)
+
+    def test_frozen(self):
+        # a config that passed validate() cannot be changed after the check
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.gamma_ab = 5.0
+        assert cfg.gamma_ab == 2.0
+
+    def test_every_key_sets_its_field(self):
+        cfg = parse_config(
+            "[experiment]\nomega_c = 70\nomega_p = 2\ncoupling_detuning = 1\n"
+            "gamma_ab = 1\ngamma_ac = 5\nb_field = 0.3\nn_f1 = 2e11\npath_length = 3\n"
+            "[scan]\nstart = -40\nstop = 40\nstep = 0.5\n"
+            "[fit]\ndensity = no\nmax_iterations = 7\n"
+            "[pump]\nbeam_diameter = 3\nduration = 0.01\n"
+        )
+        assert dataclasses.asdict(cfg) == dict(
+            omega_c=70.0, omega_p=2.0, coupling_detuning=1.0, gamma_ab=1.0, gamma_ac=5.0,
+            b_field=0.3, n_f1=2e11, path_length=3.0, scan_start=-40.0, scan_stop=40.0,
+            scan_step=0.5, fit_density=False, fit_max_iterations=7,
+            pump_beam_diameter=3.0, pump_duration=0.01,
+        )
+        assert type(cfg.fit_max_iterations) is int and type(cfg.scan_step) is float
+        with pytest.raises(ConfigError, match="cannot parse value for fit.max_iterations"):
+            parse_config("[fit]\nmax_iterations = 7.5\n")
+
+    @pytest.mark.parametrize("raw", ["60%", "60%%", "%(omega_p)s"])
+    def test_values_are_literal(self, raw):
+        # no % interpolation: the value is the text after "=", so these do not parse
+        with pytest.raises(ConfigError, match=f"cannot parse value for experiment.omega_c: "):
+            parse_config(f"[experiment]\nomega_c = {raw}\n")
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nomega_c = 60\n",
+        "[DEFAULT]\nomega_c = 60\n[experiment]\nb_field = 0\n",
+        "[experiment]\nb_field = 0\n[DEFAULT]\nomega_c = 60\n",
+    ])
+    def test_default_section_is_unknown(self, text):
+        # not a section of defaults that is ignored or leaks into the others
+        with pytest.raises(ConfigError, match=r"^unknown config field DEFAULT\.omega_c$"):
+            parse_config(text)
 
 
 class TestSpectrumIO:
