@@ -157,13 +157,12 @@ def build_liouvillian(h: np.ndarray, scheme: LevelScheme, decay: DecayModel) -> 
     L[(g,g),(e,e)] = Gamma f; the rest of the dissipator is diagonal:
     -(loss_i + loss_j)/2, with loss the total decay rate out of a sublevel,
     minus gamma_ab on every coherence that is not between two excited levels.
+    Gamma > 0 holds for every DecayModel.
     """
     n = scheme.dim
     if h.shape != (n, n):
         raise ValueError("Hamiltonian dimension does not match scheme")
     gamma = decay.gamma_excited
-    if gamma <= 0:
-        raise ValueError("excited-state decay rate must be positive")
 
     idx = np.arange(n)
     lmat = np.zeros((n, n, n, n), dtype=complex)  # [i, j, k, l]: d rho_ij / d rho_kl

@@ -71,15 +71,7 @@ def cmd_fit(args) -> int:
     )
     result = fit_populations(problem)
     p = result.pops.as_array()
-    print("fitted ground-state populations (F=1):")
-    print(f"  P(a_-1) = {100 * p[0]:6.1f} %")
-    print(f"  P(a_0)  = {100 * p[1]:6.1f} %")
-    print(f"  P(a_+1) = {100 * p[2]:6.1f} %")
-    print(f"  N_F1        = {result.n_f1:.4e} cm^-3")
-    print(f"  residual rms = {result.residual_rms:.3e}")
-    print(f"  iterations   = {result.iterations}, converged = {result.converged}")
-    print(f"  stop reason  = {result.stop_reason}")
-    if args.out:
+    if args.out:  # written before the summary, so a path that fails leaves stdout empty
         lines = [
             f"p_minus_pct = {format_float(round(100 * p[0], 1))}",
             f"p_zero_pct = {format_float(round(100 * p[1], 1))}",
@@ -94,6 +86,15 @@ def cmd_fit(args) -> int:
             f"jacobian_condition = {format_float(result.jacobian_condition)}",
         ]
         write_text(args.out, "\n".join(lines) + "\n")
+    print("fitted ground-state populations (F=1):")
+    print(f"  P(a_-1) = {100 * p[0]:6.1f} %")
+    print(f"  P(a_0)  = {100 * p[1]:6.1f} %")
+    print(f"  P(a_+1) = {100 * p[2]:6.1f} %")
+    print(f"  N_F1        = {result.n_f1:.4e} cm^-3")
+    print(f"  residual rms = {result.residual_rms:.3e}")
+    print(f"  iterations   = {result.iterations}, converged = {result.converged}")
+    print(f"  stop reason  = {result.stop_reason}")
+    if args.out:
         print(f"wrote result to {args.out}")
     return EXIT_OK if result.converged else EXIT_NOT_MET
 
@@ -107,16 +108,8 @@ def cmd_pump_design(args) -> int:
         duration_ms=cfg.pump_duration,
         beam_diameter_mm=cfg.pump_beam_diameter,
     )
-    pol_name = {-1: "sigma-", 0: "pi", 1: "sigma+"}[plan.polarization]
-    print("pump design:")
-    print(f"  target       = {target[0]:.4f}, {target[1]:.4f}, {target[2]:.4f}")
-    print(f"  polarization = {pol_name} (q={plan.polarization:+d})")
-    print(f"  power        = {plan.power_mw:.4f} mW")
-    print(f"  duration     = {cfg.pump_duration:g} ms")
     pred = plan.predicted
-    print(f"  predicted    = {pred[0]:.4f}, {pred[1]:.4f}, {pred[2]:.4f}")
-    print(f"  L1 distance  = {plan.target_distance:.4f}")
-    if args.out:
+    if args.out:  # written before the summary, so a path that fails leaves stdout empty
         lines = [
             f"polarization = {plan.polarization}",
             f"power_mw = {format_float(plan.power_mw)}",
@@ -127,6 +120,15 @@ def cmd_pump_design(args) -> int:
             f"target_distance = {format_float(plan.target_distance)}",
         ]
         write_text(args.out, "\n".join(lines) + "\n")
+    pol_name = {-1: "sigma-", 0: "pi", 1: "sigma+"}[plan.polarization]
+    print("pump design:")
+    print(f"  target       = {target[0]:.4f}, {target[1]:.4f}, {target[2]:.4f}")
+    print(f"  polarization = {pol_name} (q={plan.polarization:+d})")
+    print(f"  power        = {plan.power_mw:.4f} mW")
+    print(f"  duration     = {cfg.pump_duration:g} ms")
+    print(f"  predicted    = {pred[0]:.4f}, {pred[1]:.4f}, {pred[2]:.4f}")
+    print(f"  L1 distance  = {plan.target_distance:.4f}")
+    if args.out:
         print(f"wrote plan to {args.out}")
     miss = float(np.abs(pred - target).max())
     if miss > PUMP_TARGET_TOLERANCE:
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         message = f"path not found: {exc.filename}"
-    except (OSError, ValueError) as exc:   # ValueError covers ConfigError and UnicodeDecodeError
+    except (OSError, ValueError) as exc:   # ValueError covers ConfigError and SpectrumFormatError
         message = str(exc)
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR

@@ -52,31 +52,28 @@ class RunConfig:
     pump_duration: float = DEFAULT_PUMP_DURATION_MS  # ms
 
     def __post_init__(self):
-        self.validate()
+        """Reject a non-finite float, then a value out of range: `<key> out of range: <value>`."""
+        def check(name, ok):
+            if not ok:
+                raise ConfigError(f"{_key(name)} out of range: {getattr(self, name)!r}")
 
-    def validate(self):
-        def check(cond, name, value):
-            if not cond:
-                raise ConfigError(f"{name} out of range: {value!r}")
-
-        for where, (attr, kind) in _KEYS.items():
+        for name, kind in _KEYS.values():
             if kind is float:
-                value = getattr(self, attr)
-                check(math.isfinite(value), where, value)
-        check(0 <= self.omega_c <= 500, "experiment.omega_c", self.omega_c)
-        check(0 <= self.omega_p <= 500, "experiment.omega_p", self.omega_p)
+                check(name, math.isfinite(getattr(self, name)))
         lo, hi = N_F1_RANGE_CM3
-        check(lo <= self.n_f1 <= hi, "experiment.n_f1", self.n_f1)
-        check(0 <= self.b_field <= 10, "experiment.b_field", self.b_field)
-        check(self.gamma_ab >= 0, "experiment.gamma_ab", self.gamma_ab)
-        check(self.gamma_ac > self.gamma_ab, "experiment.gamma_ac", self.gamma_ac)
-        check(self.path_length > 0, "experiment.path_length", self.path_length)
-        check(self.scan_step > 0, "scan.step", self.scan_step)
-        check(self.scan_start < self.scan_stop, "scan.start", self.scan_start)
-        check(self._scan_points() <= MAX_SCAN_POINTS, "scan.step", self.scan_step)
-        check(self.fit_max_iterations > 0, "fit.max_iterations", self.fit_max_iterations)
-        check(self.pump_beam_diameter > 0, "pump.beam_diameter", self.pump_beam_diameter)
-        check(self.pump_duration > 0, "pump.duration", self.pump_duration)
+        check("omega_c", 0 <= self.omega_c <= 500)
+        check("omega_p", 0 <= self.omega_p <= 500)
+        check("n_f1", lo <= self.n_f1 <= hi)
+        check("b_field", 0 <= self.b_field <= 10)
+        check("gamma_ab", self.gamma_ab >= 0)
+        check("gamma_ac", self.gamma_ac > self.gamma_ab)
+        check("path_length", self.path_length > 0)
+        check("scan_step", self.scan_step > 0)
+        check("scan_start", self.scan_start < self.scan_stop)
+        check("scan_step", self._scan_points() <= MAX_SCAN_POINTS)
+        check("fit_max_iterations", self.fit_max_iterations > 0)
+        check("pump_beam_diameter", self.pump_beam_diameter > 0)
+        check("pump_duration", self.pump_duration > 0)
 
     # --- derived model objects -------------------------------------------
 
@@ -142,5 +139,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return parse_config(text)

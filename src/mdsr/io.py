@@ -61,8 +61,11 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
 
 
 def read_spectrum(path) -> Spectrum:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise SpectrumFormatError(f"{path}: {exc}") from None
     if not lines or lines[0].strip() != HEADER:
         raise SpectrumFormatError(f"missing header {HEADER!r}")
     detunings, transmission = [], []

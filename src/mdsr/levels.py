@@ -8,8 +8,10 @@ with I = 3/2, J = J' = 1/2, normalized so the strongest pi amplitude on
 F=2 -> F'=2 has magnitude 1 (b_{-2} <-> c_{-2}).  Signs follow the
 Condon-Shortley phases of the 3-j/6-j symbols; only ratios of squared
 amplitudes are observable in this model.
-`LevelScheme.driven`, the couplings one beam drives, is the package's one
-selection rule: the Hamiltonian, pump rates and probe terms all read it.
+`LevelScheme.couplings` is the package's one amplitude table, and
+`LevelScheme.driven`, the couplings one beam drives, its one selection
+rule: the Hamiltonian, pump rates and probe terms all read it, and the
+checks in `mdsr.validate` read the same table.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ def zeeman_shift(s: Sublevel, b_gauss: float) -> float:
     return float(s.manifold.g_factor) * BOHR_MAGNETON_MHZ_PER_G * b_gauss * s.m
 
 
-# normalization anchor: |amp| of the pi transition b_-2 <-> c_-2
-_NORM = None
-
-
 def _raw_amplitude(lower: Sublevel, upper: Sublevel, q: int) -> float:
     f, fp = lower.manifold.f, upper.manifold.f
     tj = wigner3j(f, 1, fp, lower.m, q, -upper.m)
@@ -96,23 +94,21 @@ def _raw_amplitude(lower: Sublevel, upper: Sublevel, q: int) -> float:
     return ((2 * f + 1) * (2 * fp + 1)) ** 0.5 * tj * sj
 
 
-def relative_dipole(lower: Sublevel, upper: Sublevel, q: int) -> float:
-    """Relative dipole amplitude for lower -> upper with polarization q.
+# normalization anchor: |amp| of the pi transition b_-2 <-> c_-2
+_NORM = abs(_raw_amplitude(Sublevel(Manifold.G2, -2), Sublevel(Manifold.E2, -2), 0))
 
-    Returns 0 for forbidden combinations (delta m != q, |delta F| > 1,
-    or wrong manifold roles).  Normalized so max |amp| on G2->E2 pi is 1.
+
+def relative_dipole(lower: Sublevel, upper: Sublevel, q: int) -> float:
+    """Relative dipole amplitude for lower -> upper with polarization q,
+    normalized so max |amp| on G2->E2 pi is 1; 0 where delta m != q.
+    Every manifold has F = 1 or 2, so |delta F| <= 1 needs no check.
     """
-    global _NORM
     if q not in (-1, 0, 1):
         raise ValueError(f"polarization q must be -1, 0 or +1, got {q}")
     if lower.manifold.is_excited or not upper.manifold.is_excited:
         raise ValueError("relative_dipole expects (ground, excited) sublevels")
     if upper.m - lower.m != q:
         return 0.0
-    if abs(upper.manifold.f - lower.manifold.f) > 1:
-        return 0.0
-    if _NORM is None:
-        _NORM = abs(_raw_amplitude(Sublevel(Manifold.G2, -2), Sublevel(Manifold.E2, -2), 0))
     return _raw_amplitude(lower, upper, q) / _NORM
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import subprocess
 import sys
 
@@ -274,6 +276,22 @@ class TestValidate:
         assert getattr(mdsr.validate, check)().passed
         assert built == [((0.15,), {"include_e1": True})]
 
+    def test_results_are_bools_and_serialise(self):
+        results = run_checks()
+        assert all(type(r.passed) is bool for r in results), [r.name for r in results]
+        json.dumps([dataclasses.asdict(r) for r in results])
+
+    def test_rate_conservation_reads_the_propagator(self, monkeypatch):
+        # evolve_populations renormalizes its output, so only the propagator
+        # itself shows a matrix exponential that does not conserve probability
+        import mdsr.pumping
+        import mdsr.validate
+
+        assert mdsr.validate.check_rate_conservation().passed
+        monkeypatch.setattr(mdsr.validate, "expm", lambda a: mdsr.pumping.expm(a) * (1 + 1e-6))
+        result = mdsr.validate.check_rate_conservation()
+        assert not result.passed, result.detail
+
 
 def _write_config(tmp_path, data):
     (tmp_path / "run.ini").write_bytes(data)
@@ -323,6 +341,44 @@ def test_bad_path_or_config_is_one_error_line(tmp_path, command, bad):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _fit_inputs(tmp_path):
+    write_spectrum(synth_spectrum(make_model(), PopulationDistribution(0.32, 0.36, 0.32),
+                                  np.linspace(-80.0, 80.0, 161)), tmp_path / "spec.csv")
+    (tmp_path / "run.ini").write_text("[experiment]\nomega_c = 78\n")
+
+
+@pytest.mark.parametrize("bad", ["run.ini", "spec.csv"])
+def test_undecodable_input_is_named(tmp_path, monkeypatch, capsys, bad):
+    # of the config and the spectrum, the one error line names the file that is not UTF-8
+    import mdsr.cli
+
+    _fit_inputs(tmp_path)
+    (tmp_path / bad).write_bytes(b"detuning_mhz,transmission\n0,0.\xff5\n")
+    monkeypatch.chdir(tmp_path)
+    assert mdsr.cli.main(["fit", "spec.csv", "--config", "run.ini"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), captured.err
+
+
+@pytest.mark.parametrize("command", [["fit", "spec.csv"],
+                                     ["pump-design", "--target", "0.5,0.3,0.2"]],
+                         ids=["fit", "pump-design"])
+def test_unwritable_out_prints_no_summary(tmp_path, monkeypatch, capsys, command):
+    # the --out file is written before the summary, so a script that reads
+    # stdout never sees a result that was not written
+    import mdsr.cli
+
+    _fit_inputs(tmp_path)
+    (tmp_path / "out.d").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert mdsr.cli.main(command + ["--out", "out.d"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: "), captured.err
 
 
 NO_SCIPY_SCRIPT = """
