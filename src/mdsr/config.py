@@ -9,7 +9,6 @@ Values are literal (no `%` interpolation); there is no `[DEFAULT]` section.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, fields
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .bloch import DecayModel, LaserField
 from .fitting import DEFAULT_MAX_ITERATIONS
+from .io import read_text
 from .levels import Manifold, build_level_scheme
 from .pumping import DEFAULT_BEAM_DIAMETER_MM, DEFAULT_PUMP_DURATION_MS
 from .spectrum import N_F1_RANGE_CM3, ExperimentModel
@@ -123,9 +123,9 @@ def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
     try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from None
+        parser.read_string(text)
+    except configparser.Error as exc:  # configparser's message spans lines; keep one
+        raise ConfigError(f"config parse error: {' '.join(str(exc).split())}") from None
 
     values = {}
     for section in parser.sections():
@@ -139,9 +139,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return parse_config(text)
+    return parse_config(read_text(path, ConfigError))

@@ -1,7 +1,10 @@
-"""Spectrum CSV I/O: `detuning_mhz,transmission`, LF endings, 17 significant digits."""
+"""File access and spectrum CSV I/O: `read_text` and `write_text` are the
+package's only file access; spectrum CSVs are `detuning_mhz,transmission`,
+LF endings, 17 significant digits."""
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 
@@ -21,6 +24,15 @@ FLOAT_FORMAT = ".17g"
 
 def format_float(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
+
+
+def read_text(path, error) -> str:
+    """Read `path` as UTF-8, dropping a leading byte-order mark; else raise `error("<path>: ...")`."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def write_text(path, text: str) -> None:
@@ -61,11 +73,7 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
 
 
 def read_spectrum(path) -> Spectrum:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise SpectrumFormatError(f"{path}: {exc}") from None
+    lines = read_text(path, SpectrumFormatError).splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise SpectrumFormatError(f"missing header {HEADER!r}")
     detunings, transmission = [], []
@@ -79,6 +87,8 @@ def read_spectrum(path) -> Spectrum:
             d, t = float(parts[0]), float(parts[1])
         except ValueError:
             raise SpectrumFormatError(f"row {row_number}: malformed number") from None
+        if not math.isfinite(d):
+            raise SpectrumFormatError(f"row {row_number}: detuning {d} is not finite")
         if not 0.0 <= t <= 1.0:
             raise SpectrumFormatError(f"row {row_number}: transmission {t} outside [0, 1]")
         detunings.append(d)

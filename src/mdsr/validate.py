@@ -24,7 +24,7 @@ from .bloch import (
     weak_probe_coherences,
 )
 from .config import RunConfig
-from .levels import LevelScheme, Manifold, Sublevel, build_level_scheme, relative_dipole
+from .levels import LevelScheme, Manifold, Sublevel, build_level_scheme
 from .pumping import PumpConfig, evolve_populations, expm, pump_rate_matrix, uniform_g1_state
 from .spectrum import PopulationDistribution, susceptibility_grid, synth_spectrum
 
@@ -69,16 +69,18 @@ def check_wigner_orthogonality() -> CheckResult:
 
 
 def check_forbidden_zeros() -> CheckResult:
-    """The two pi couplings that the Racah algebra zeroes although Delta m = q."""
-    b0c0 = relative_dipole(Sublevel(Manifold.G2, 0), Sublevel(Manifold.E2, 0), 0)
-    a0e0 = relative_dipole(Sublevel(Manifold.G1, 0), Sublevel(Manifold.E1, 0), 0)
+    """The two pi couplings that the Racah algebra zeroes although Delta m = q;
+    a0-e0 needs F'=1."""
+    amp = build_level_scheme(0.0, include_e1=True).coupling
+    b0c0 = amp(Sublevel(Manifold.G2, 0), Sublevel(Manifold.E2, 0), 0)
+    a0e0 = amp(Sublevel(Manifold.G1, 0), Sublevel(Manifold.E1, 0), 0)
     return CheckResult("forbidden-transition-zeros", b0c0 == 0.0 and a0e0 == 0.0,
                        f"b0-c0={b0c0}, a0-e0={a0e0}")
 
 
 def check_pi_ladder() -> CheckResult:
-    amps = [relative_dipole(Sublevel(Manifold.G2, m), Sublevel(Manifold.E2, m), 0)
-            for m in range(-2, 3)]
+    amp = build_level_scheme(0.0).coupling
+    amps = [amp(Sublevel(Manifold.G2, m), Sublevel(Manifold.E2, m), 0) for m in range(-2, 3)]
     expected = [1.0, 0.5, 0.0, 0.5, 1.0]
     worst = max(abs(abs(a) - e) for a, e in zip(amps, expected))
     return CheckResult("pi-coupling-ratios-2-1-0-1-2", worst < 1e-12, f"|amps|={[abs(a) for a in amps]}")

@@ -309,6 +309,11 @@ BAD_CONFIGS = {
     "default_section": lambda tmp: _write_config(tmp, b"[DEFAULT]\nomega_c = 60\n"),
     "config_is_directory": lambda tmp: ["--config", _make_dir(tmp, "conf.d")],
     "config_not_utf8": lambda tmp: _write_config(tmp, b"[experiment]\nomega_c = 6\xff0\n"),
+    # configparser's own messages: the first two span several lines
+    "no_section_header": lambda tmp: _write_config(tmp, b"omega_c = 60\n"),
+    "unparsable_line": lambda tmp: _write_config(tmp, b"[experiment]\ngarbage\n"),
+    "duplicate_section": lambda tmp: _write_config(tmp, b"[scan]\nstep = 1\n[scan]\n"),
+    "duplicate_key": lambda tmp: _write_config(tmp, b"[scan]\nstep = 1\nstep = 2\n"),
 }
 BAD_OUTS = {
     "out_in_missing_directory": lambda tmp: ["--out", "missing/result.txt"],

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("not an ini file")
 
+    @pytest.mark.parametrize("text,line", [
+        ("omega_c = 60\n", 1),
+        ("[experiment]\ngarbage\n", 2),
+        ("[scan]\nstep = 1\n[scan]\n", 3),
+        ("[scan]\nstep = 1\nstep = 2\n", 3),
+    ])
+    def test_parse_error_is_one_line_with_its_line_number(self, text, line):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        message = str(info.value)
+        assert "\n" not in message and re.search(rf"\bline:? {line}\b", message), message
+
     def test_scan_grid_endpoints(self):
         grid = parse_config("[scan]\nstart = -80\nstop = 80\nstep = 1\n").scan_grid()
         assert grid[0] == -80.0
@@ -115,6 +128,13 @@ class TestParseConfig:
         path = tmp_path / "run.ini"
         path.write_text("[experiment]\nomega_c = 60  # inline comment\n")
         assert load_config(path).omega_c == 60.0
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"[experiment]\nomega_c = 60\nb_field = 0\n[scan]\nstep = 0.25\n"
+        plain, bom = tmp_path / "run.ini", tmp_path / "bom.ini"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config(bom) == load_config(plain) != RunConfig()
 
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
@@ -200,6 +220,10 @@ class TestSpectrumIO:
         path.write_text("detuning_mhz,transmission\n0,1.5\n")
         with pytest.raises(SpectrumFormatError, match="row 2"):
             read_spectrum(path)
+        # a NaN detuning is named as not finite, not as out of order
+        path.write_text("detuning_mhz,transmission\n0,0.5\nnan,0.5\n2,0.5\n")
+        with pytest.raises(SpectrumFormatError, match=r"^row 3: detuning nan is not finite$"):
+            read_spectrum(path)
 
     def test_non_monotonic_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -212,6 +236,15 @@ class TestSpectrumIO:
         path.write_text("detuning_mhz,transmission\n0,0.5\ninf,0.5\n")
         with pytest.raises(ValueError, match="finite"):
             read_spectrum(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, grid161):
+        s = synth_spectrum(make_model(), PopulationDistribution(0.32, 0.36, 0.32), grid161)
+        plain, bom = tmp_path / "s.csv", tmp_path / "bom.csv"
+        write_spectrum(s, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read_spectrum(plain), read_spectrum(bom)
+        assert np.array_equal(a.detunings, b.detunings)
+        assert np.array_equal(a.transmission, b.transmission)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
