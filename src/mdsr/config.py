@@ -18,8 +18,9 @@ from .bloch import DecayModel, LaserField
 from .fitting import DEFAULT_MAX_ITERATIONS
 from .io import read_text
 from .levels import Manifold, build_level_scheme
-from .pumping import DEFAULT_BEAM_DIAMETER_MM, DEFAULT_PUMP_DURATION_MS
-from .spectrum import N_F1_RANGE_CM3, ExperimentModel
+from .pumping import (DEFAULT_BEAM_DIAMETER_MM, DEFAULT_PUMP_DURATION_MS, MAX_PUMP_DURATION_MS,
+                      MIN_BEAM_DIAMETER_MM)
+from .spectrum import N_F1_RANGE_CM3, UNIT_PROBE_RABI, ExperimentModel
 
 
 MAX_SCAN_POINTS = 1_000_000  # far above any real scan; the survey benchmark uses at most 3201
@@ -33,7 +34,6 @@ class ConfigError(ValueError):
 class RunConfig:
     # experiment
     omega_c: float = 78.0        # coupling Rabi scale, MHz
-    omega_p: float = 1.0         # probe Rabi scale, MHz
     coupling_detuning: float = 0.0
     gamma_ab: float = 2.0
     gamma_ac: float = 4.0
@@ -62,7 +62,6 @@ class RunConfig:
                 check(name, math.isfinite(getattr(self, name)))
         lo, hi = N_F1_RANGE_CM3
         check("omega_c", 0 <= self.omega_c <= 500)
-        check("omega_p", 0 <= self.omega_p <= 500)
         check("n_f1", lo <= self.n_f1 <= hi)
         check("b_field", 0 <= self.b_field <= 10)
         check("gamma_ab", self.gamma_ab >= 0)
@@ -72,8 +71,8 @@ class RunConfig:
         check("scan_start", self.scan_start < self.scan_stop)
         check("scan_step", self._scan_points() <= MAX_SCAN_POINTS)
         check("fit_max_iterations", self.fit_max_iterations > 0)
-        check("pump_beam_diameter", self.pump_beam_diameter > 0)
-        check("pump_duration", self.pump_duration > 0)
+        check("pump_beam_diameter", self.pump_beam_diameter >= MIN_BEAM_DIAMETER_MM)
+        check("pump_duration", 0 < self.pump_duration <= MAX_PUMP_DURATION_MS)
 
     # --- derived model objects -------------------------------------------
 
@@ -86,7 +85,7 @@ class RunConfig:
         return ExperimentModel(
             scheme=scheme,
             coupling=self.coupling_field(),
-            probe=LaserField(-1, self.omega_p, 0.0, (Manifold.G1, Manifold.E2)),
+            probe=LaserField(-1, UNIT_PROBE_RABI, 0.0, (Manifold.G1, Manifold.E2)),
             decay=DecayModel(self.gamma_ab, self.gamma_ac),
             n_f1=self.n_f1,
             path_length_mm=self.path_length,
@@ -118,12 +117,13 @@ def _convert(kind, raw, where):
         raise ConfigError(f"cannot parse value for {where}: {raw!r}") from None
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse sectioned key = value config text; empty input gives the reference defaults."""
+def parse_config(text: str, source: str = "<string>") -> RunConfig:
+    """Parse sectioned key = value config text; empty input gives the reference defaults.
+    A parse error names `source`, as configparser's `read_string` does."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:  # configparser's message spans lines; keep one
         raise ConfigError(f"config parse error: {' '.join(str(exc).split())}") from None
 
@@ -139,4 +139,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(read_text(path, ConfigError))
+    return parse_config(read_text(path, ConfigError), str(path))

@@ -20,12 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import LaserField
-from .levels import LevelScheme, Manifold, NATURAL_LINEWIDTH_MHZ, Sublevel
+from .levels import D1_WAVELENGTH_NM, LevelScheme, Manifold, NATURAL_LINEWIDTH_MHZ, Sublevel
 
 I_SAT_MW_PER_CM2 = 1.496  # D1 line saturation intensity
 MHZ_TO_PER_MS = 1.0e3
 DEFAULT_PUMP_DURATION_MS = 2.0e-4
 DEFAULT_BEAM_DIAMETER_MM = 2.0
+# no beam is focused below its wavelength; far below it the top-hat area underflows to 0
+MIN_BEAM_DIAMETER_MM = D1_WAVELENGTH_NM * 1e-6
+# the longest duration whose propagator expm(R t) conserves probability to
+# within half of validate's 1e-9 bound: 4.7e-10 over q = -1, 0, +1, 0-20 mW
+# and B up to 1 G; the drift grows with t (3.7e-9 at 1e4 ms)
+MAX_PUMP_DURATION_MS = 1e3
 MAX_POWER_MW = 20.0  # design_pump's power cap; s/(1+s) = 0.998 there for a 2 mm beam
 GRID_POINTS = 33     # design_pump's uniform grid in f/f_max
 GOLDEN_STEPS = 40    # golden-section steps, shrinking two grid cells by 0.618**40
@@ -54,10 +60,12 @@ class PumpConfig:
             raise ValueError("polarization must be -1, 0 or +1")
         if not (math.isfinite(self.power_mw) and self.power_mw >= 0):
             raise ValueError("power must be finite and >= 0")
-        if not (math.isfinite(self.beam_diameter_mm) and self.beam_diameter_mm > 0):
-            raise ValueError("beam diameter must be finite and > 0")
-        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
-            raise ValueError("duration must be finite and > 0")
+        if not (math.isfinite(self.beam_diameter_mm) and self.beam_diameter_mm >= MIN_BEAM_DIAMETER_MM):
+            raise ValueError(f"beam diameter must be finite and >= {MIN_BEAM_DIAMETER_MM:g} mm")
+        if not 0 < self.duration_ms <= MAX_PUMP_DURATION_MS:  # false for nan
+            raise ValueError(f"duration must be finite, > 0 and <= {MAX_PUMP_DURATION_MS:g} ms")
+        if not math.isfinite(self.saturation):
+            raise ValueError("power over beam area must give a finite saturation")
 
     @property
     def saturation(self) -> float:
@@ -202,8 +210,8 @@ def evolve_populations(rates: np.ndarray, state0: PopulationState,
     n = state0.scheme.dim
     if rates.shape != (n, n) or not np.isfinite(rates).all():
         raise ValueError(f"rates must be a finite {n}x{n} matrix for the state's scheme")
-    if not (math.isfinite(t_ms) and t_ms >= 0):
-        raise ValueError("time must be finite and >= 0")
+    if not 0 <= t_ms <= MAX_PUMP_DURATION_MS:  # false for nan
+        raise ValueError(f"time must be finite, >= 0 and <= {MAX_PUMP_DURATION_MS:g} ms")
     if t_ms == 0:
         return state0
     return PopulationState(state0.scheme, _propagate(rates, state0.pops, t_ms))

@@ -14,7 +14,6 @@ cross-validation oracle for this additive production path.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ EPSILON0_F_PER_M = 8.8541878128e-12
 RAD_PER_S_PER_MHZ = 2.0 * math.pi * 1.0e6
 # F=1 densities a run may set and a fit may return, cm^-3
 N_F1_RANGE_CM3 = (1e9, 1e13)
+UNIT_PROBE_RABI = 1.0  # MHz; a spectrum is first order in the probe, so its strength divides out
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ class ExperimentModel:
             raise ValueError("the probe must address the F=1 ground manifold")
         if self.coupling.transition[0] is Manifold.G1:
             raise ValueError("the coupling must not drive the probe's F=1 ground manifold")
-        if self.coupling.rabi_scale > 0 and self.probe.rabi_scale > 0.2 * self.coupling.rabi_scale:
-            warnings.warn(
-                "probe Rabi scale is not small compared to the coupling; "
-                "the weak-probe susceptibility may be inaccurate",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ def _terms(model: ExperimentModel, weights: np.ndarray, deltas) -> np.ndarray:
     amp2, omega_c, dp_shift, dc_shift = _term_parameters(model)
     pref = susceptibility_prefactor(model.n_f1, model.scheme.reduced_dipole)
     rho = lambda_coherence_analytic(
-        1.0, omega_c, np.asarray(deltas, dtype=np.float64)[:, None] - dp_shift,
+        UNIT_PROBE_RABI, omega_c, np.asarray(deltas, dtype=np.float64)[:, None] - dp_shift,
         model.coupling.detuning - dc_shift, model.decay.gamma_ac, model.decay.gamma_ab)
     return pref * weights * amp2 * rho
 

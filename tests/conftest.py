@@ -16,9 +16,9 @@ REFERENCE_POPS = [
 ]
 
 
-def make_model(b_field=0.15, n_f1=1.2e11, omega_c=78.0, omega_p=1.0):
+def make_model(b_field=0.15, n_f1=1.2e11, omega_c=78.0):
     """The reference model of `RunConfig`, with the given overrides."""
-    overrides = dict(b_field=b_field, omega_c=omega_c, omega_p=omega_p)
+    overrides = dict(b_field=b_field, omega_c=omega_c)
     try:
         return RunConfig(n_f1=n_f1, **overrides).experiment_model()
     except ConfigError:

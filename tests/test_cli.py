@@ -314,6 +314,9 @@ BAD_CONFIGS = {
     "unparsable_line": lambda tmp: _write_config(tmp, b"[experiment]\ngarbage\n"),
     "duplicate_section": lambda tmp: _write_config(tmp, b"[scan]\nstep = 1\n[scan]\n"),
     "duplicate_key": lambda tmp: _write_config(tmp, b"[scan]\nstep = 1\nstep = 2\n"),
+    # a beam area that underflows to 0; a duration past what expm conserves
+    "pump_beam_too_small": lambda tmp: _write_config(tmp, b"[pump]\nbeam_diameter = 1e-200\n"),
+    "pump_duration_too_long": lambda tmp: _write_config(tmp, b"[pump]\nduration = 1e16\n"),
 }
 BAD_OUTS = {
     "out_in_missing_directory": lambda tmp: ["--out", "missing/result.txt"],
@@ -346,6 +349,17 @@ def test_bad_path_or_config_is_one_error_line(tmp_path, command, bad):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("bad", ["no_section_header", "unparsable_line"])
+def test_parse_error_names_the_config(tmp_path, monkeypatch, capsys, bad):
+    # configparser's message names the file read, not its "<string>" placeholder
+    import mdsr.cli
+
+    monkeypatch.chdir(tmp_path)
+    assert mdsr.cli.main(["synth"] + BAD_CONFIGS[bad](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "run.ini" in err and "<string>" not in err, err
 
 
 def _fit_inputs(tmp_path):

@@ -18,7 +18,6 @@ class TestParseConfig:
     def test_empty_gives_defaults(self):
         cfg = parse_config("")
         assert cfg.omega_c == 78.0
-        assert cfg.omega_p == 1.0
         assert cfg.gamma_ab == 2.0
         assert cfg.gamma_ac == 4.0
         assert cfg.b_field == 0.15
@@ -57,6 +56,9 @@ class TestParseConfig:
         # removed key: the model is of the D1 line, whose wavelength is fixed
         with pytest.raises(ConfigError, match="unknown config field experiment.wavelength"):
             parse_config("[experiment]\nwavelength = 780\n")
+        # removed key: a spectrum is the first-order probe response, whatever the probe's strength
+        with pytest.raises(ConfigError, match="unknown config field experiment.omega_p"):
+            parse_config("[experiment]\nomega_p = 1\n")
         # removed key: synth writes to --out
         with pytest.raises(ConfigError, match="unknown config field output.path"):
             parse_config("[output]\npath = s.csv\n")
@@ -149,14 +151,14 @@ class TestParseConfig:
 
     def test_every_key_sets_its_field(self):
         cfg = parse_config(
-            "[experiment]\nomega_c = 70\nomega_p = 2\ncoupling_detuning = 1\n"
+            "[experiment]\nomega_c = 70\ncoupling_detuning = 1\n"
             "gamma_ab = 1\ngamma_ac = 5\nb_field = 0.3\nn_f1 = 2e11\npath_length = 3\n"
             "[scan]\nstart = -40\nstop = 40\nstep = 0.5\n"
             "[fit]\ndensity = no\nmax_iterations = 7\n"
             "[pump]\nbeam_diameter = 3\nduration = 0.01\n"
         )
         assert dataclasses.asdict(cfg) == dict(
-            omega_c=70.0, omega_p=2.0, coupling_detuning=1.0, gamma_ab=1.0, gamma_ac=5.0,
+            omega_c=70.0, coupling_detuning=1.0, gamma_ab=1.0, gamma_ac=5.0,
             b_field=0.3, n_f1=2e11, path_length=3.0, scan_start=-40.0, scan_stop=40.0,
             scan_step=0.5, fit_density=False, fit_max_iterations=7,
             pump_beam_diameter=3.0, pump_duration=0.01,

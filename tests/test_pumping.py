@@ -9,7 +9,9 @@ from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.pumping import (
     DEFAULT_PUMP_DURATION_MS,
     MAX_POWER_MW,
+    MAX_PUMP_DURATION_MS,
     MHZ_TO_PER_MS,
+    MIN_BEAM_DIAMETER_MM,
     NATURAL_LINEWIDTH_MHZ,
     THETA13,
     PopulationState,
@@ -78,6 +80,20 @@ class TestPumpConfig:
     def test_rejects_non_finite(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
             PumpConfig(0, **{"power_mw": 1.0, field: bad})
+
+    @pytest.mark.parametrize("power,diameter,duration", [
+        (1.0, 1e-200, 1.0),                 # the beam area underflows to 0
+        (1.0, MIN_BEAM_DIAMETER_MM / 2, 1.0),
+        (1e308, 1e-3, 1.0),                 # the saturation overflows to inf
+        (1.0, 2.0, math.nextafter(MAX_PUMP_DURATION_MS, math.inf)),
+    ])
+    def test_rejects_beam_or_duration_past_its_bound(self, power, diameter, duration):
+        with pytest.raises(ValueError, match="finite"):
+            PumpConfig(-1, power, diameter, duration)
+
+    def test_accepts_beam_and_duration_at_their_bounds(self):
+        at_bounds = PumpConfig(-1, MAX_POWER_MW, MIN_BEAM_DIAMETER_MM, MAX_PUMP_DURATION_MS)
+        assert math.isfinite(at_bounds.saturation)
 
 
 class TestPopulationState:
@@ -174,6 +190,25 @@ class TestRateMatrix:
         rates = pump_rate_matrix(scheme16, PumpConfig(0, 3.0), COUPLING)
         with pytest.raises(ValueError, match="time"):
             evolve_populations(rates, uniform_g1_state(scheme16), bad)
+
+    def test_evolution_rejects_time_past_duration_bound(self, scheme16):
+        rates = pump_rate_matrix(scheme16, PumpConfig(0, 3.0), COUPLING)
+        with pytest.raises(ValueError, match="time"):
+            evolve_populations(rates, uniform_g1_state(scheme16), 1e16)
+
+    def test_propagator_conserves_at_duration_bound(self, scheme16):
+        # the bound cannot be raised past what expm conserves to validate's
+        # 1e-9: every column of expm(R t) at the bound sums to 1 within it
+        powers = np.linspace(0.0, MAX_POWER_MW, 21)
+        for b in (0.0, 0.15, 1.0):
+            scheme = build_level_scheme(b, include_e1=True)
+            rates = np.array([[pump_rate_matrix(scheme, PumpConfig(q, p), COUPLING)
+                               for p in powers] for q in (-1, 0, 1)])
+            sums = expm(rates * MAX_PUMP_DURATION_MS).sum(axis=-2)
+            assert np.abs(sums - 1.0).max() < 1e-9, b
+        plan = design_pump(np.array([1.0, 0.0, 0.0]), scheme16, COUPLING,
+                           duration_ms=MAX_PUMP_DURATION_MS)
+        assert np.isfinite(plan.predicted).all()
 
 
 class TestDarkStateLimits:
