@@ -67,7 +67,6 @@ def cmd_fit(args) -> int:
         observed=read_spectrum(args.spectrum),
         model_template=model,
         fit_density=cfg.fit_density,
-        max_iterations=cfg.fit_max_iterations,
     )
     result = fit_populations(problem)
     p = result.pops.as_array()

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bloch import DecayModel, LaserField
-from .fitting import DEFAULT_MAX_ITERATIONS
 from .io import read_text
 from .levels import Manifold, build_level_scheme
 from .pumping import (DEFAULT_BEAM_DIAMETER_MM, DEFAULT_PUMP_DURATION_MS, MAX_PUMP_DURATION_MS,
@@ -46,7 +45,6 @@ class RunConfig:
     scan_step: float = 1.0
     # fit
     fit_density: bool = True
-    fit_max_iterations: int = DEFAULT_MAX_ITERATIONS
     # pump
     pump_beam_diameter: float = DEFAULT_BEAM_DIAMETER_MM  # mm
     pump_duration: float = DEFAULT_PUMP_DURATION_MS  # ms
@@ -70,7 +68,6 @@ class RunConfig:
         check("scan_step", self.scan_step > 0)
         check("scan_start", self.scan_start < self.scan_stop)
         check("scan_step", self._scan_points() <= MAX_SCAN_POINTS)
-        check("fit_max_iterations", self.fit_max_iterations > 0)
         check("pump_beam_diameter", self.pump_beam_diameter >= MIN_BEAM_DIAMETER_MM)
         check("pump_duration", 0 < self.pump_duration <= MAX_PUMP_DURATION_MS)
 

@@ -91,9 +91,9 @@ def read_spectrum(path) -> Spectrum:
             raise SpectrumFormatError(f"row {row_number}: detuning {d} is not finite")
         if not 0.0 <= t <= 1.0:
             raise SpectrumFormatError(f"row {row_number}: transmission {t} outside [0, 1]")
+        if detunings and not d > detunings[-1]:
+            raise SpectrumFormatError(f"row {row_number}: detunings are not strictly increasing "
+                                      f"({d} after {detunings[-1]})")
         detunings.append(d)
         transmission.append(t)
-    det = np.array(detunings)
-    if det.size > 1 and not np.all(np.diff(det) > 0):
-        raise SpectrumFormatError("detunings are not strictly increasing")
-    return Spectrum(det, np.array(transmission))
+    return Spectrum(np.array(detunings), np.array(transmission))

@@ -173,17 +173,18 @@ class TestFit:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    def test_not_converged_exit_code(self, tmp_path):
+    def test_not_converged_exit_code(self, tmp_path, monkeypatch, capsys):
         # noiseless data converge in one iteration from the -ln T start; a
         # noisy copy does not
+        import mdsr.cli
+        import mdsr.fitting
+
         out = tmp_path / "spec.csv"
-        proc = run_cli(["synth", "--out", str(out), "--noise", "0.01"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[fit]\nmax_iterations = 1\n")
-        proc = run_cli(["fit", str(tmp_path / "spec_noisy.csv"), "--config", str(cfg)], tmp_path)
-        assert proc.returncode == 2
-        assert "  stop reason  = iterations" in proc.stdout.splitlines()
+        assert mdsr.cli.main(["synth", "--out", str(out), "--noise", "0.01"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(mdsr.fitting, "MAX_ITERATIONS", 1)
+        assert mdsr.cli.main(["fit", str(tmp_path / "spec_noisy.csv")]) == 2
+        assert "  stop reason  = iterations" in capsys.readouterr().out.splitlines()
 
 
 class TestPumpDesign:

@@ -59,6 +59,9 @@ class TestParseConfig:
         # removed key: a spectrum is the first-order probe response, whatever the probe's strength
         with pytest.raises(ConfigError, match="unknown config field experiment.omega_p"):
             parse_config("[experiment]\nomega_p = 1\n")
+        # removed key: the fit's iteration cap is fitting.MAX_ITERATIONS
+        with pytest.raises(ConfigError, match="unknown config field fit.max_iterations"):
+            parse_config("[fit]\nmax_iterations = 5\n")
         # removed key: synth writes to --out
         with pytest.raises(ConfigError, match="unknown config field output.path"):
             parse_config("[output]\npath = s.csv\n")
@@ -154,18 +157,16 @@ class TestParseConfig:
             "[experiment]\nomega_c = 70\ncoupling_detuning = 1\n"
             "gamma_ab = 1\ngamma_ac = 5\nb_field = 0.3\nn_f1 = 2e11\npath_length = 3\n"
             "[scan]\nstart = -40\nstop = 40\nstep = 0.5\n"
-            "[fit]\ndensity = no\nmax_iterations = 7\n"
+            "[fit]\ndensity = no\n"
             "[pump]\nbeam_diameter = 3\nduration = 0.01\n"
         )
         assert dataclasses.asdict(cfg) == dict(
             omega_c=70.0, coupling_detuning=1.0, gamma_ab=1.0, gamma_ac=5.0,
             b_field=0.3, n_f1=2e11, path_length=3.0, scan_start=-40.0, scan_stop=40.0,
-            scan_step=0.5, fit_density=False, fit_max_iterations=7,
+            scan_step=0.5, fit_density=False,
             pump_beam_diameter=3.0, pump_duration=0.01,
         )
-        assert type(cfg.fit_max_iterations) is int and type(cfg.scan_step) is float
-        with pytest.raises(ConfigError, match="cannot parse value for fit.max_iterations"):
-            parse_config("[fit]\nmax_iterations = 7.5\n")
+        assert type(cfg.fit_density) is bool and type(cfg.scan_step) is float
 
     @pytest.mark.parametrize("raw", ["60%", "60%%", "%(omega_p)s"])
     def test_values_are_literal(self, raw):
@@ -225,6 +226,10 @@ class TestSpectrumIO:
         # a NaN detuning is named as not finite, not as out of order
         path.write_text("detuning_mhz,transmission\n0,0.5\nnan,0.5\n2,0.5\n")
         with pytest.raises(SpectrumFormatError, match=r"^row 3: detuning nan is not finite$"):
+            read_spectrum(path)
+        # an out-of-order detuning is named by its row, blank lines counted
+        path.write_text("detuning_mhz,transmission\n0,0.5\n1,0.5\n\n1,0.5\n")
+        with pytest.raises(SpectrumFormatError, match=r"^row 5: "):
             read_spectrum(path)
 
     def test_non_monotonic_rejected(self, tmp_path):
