@@ -86,26 +86,24 @@ def residuals(problem: FitProblem, pops: PopulationDistribution, n_f1: float) ->
 def _support_tables(k: int):
     """Gather tables that stack the systems of every nonempty support S of range(k).
 
-    Supports come in `combinations` order.  Support S's k x k system holds G
-    restricted to S in its leading block and the identity after it, and its
-    right-hand sides are (rhs_S, 1_S) followed by zeros, so LAPACK factors
-    the block exactly as it would alone.  `system` indexes the flattened
-    [[G, 0], [0, 1]] and `sides` the rows of [[rhs, 1], [0, 0]], `inverse`
-    (flat) maps each stacked solution back to index order and `leading`
-    marks the first |S| places.  Built in plain Python: `np.argsort` would
-    load numpy's sort code and raise peak memory for no gain.
+    Supports come in `combinations` order, and S reads rows
+    list(S) + list(range(k + |S|, 2k)) of the 2k x 2k [[G, 0], [0, I]] and of
+    [[rhs, 1], [0, 0]]: G restricted to S, then the identity, with sides
+    (rhs_S, 1_S), then zeros, so LAPACK factors the block exactly as it would
+    alone.  `system` is that gather on the flattened matrix, `sides` the rows
+    and `leading` marks the first |S| places; `inverse` (flat) maps each index
+    of S back from its place and any other from place |S|, which holds 0.
+    Built in plain Python: `np.argsort` would load numpy's sort code and raise
+    peak memory for no gain.
     """
-    one, zero = (k + 1) ** 2 - 1, k
-    system, sides, inverse, leading = [], [], [], []
+    rows, inverse = [], []
     for size in range(1, k + 1):
         for support in combinations(range(k), size):
-            order = list(support) + [j for j in range(k) if j not in support]
-            system.append([[order[p] * (k + 1) + order[q] if max(p, q) < size
-                            else one if p == q else zero for q in range(k)] for p in range(k)])
-            sides.append([order[p] if p < size else k for p in range(k)])
-            inverse.append([len(inverse) * k + order.index(j) for j in range(k)])
-            leading.append([p < size for p in range(k)])
-    tables = np.array(system), np.array(sides), np.array(inverse), np.array(leading)
+            rows.append(list(support) + list(range(k + size, 2 * k)))
+            inverse.append([len(inverse) * k + (support.index(j) if j in support else size)
+                            for j in range(k)])
+    rows = np.array(rows)
+    tables = rows[:, :, None] * 2 * k + rows[:, None, :], rows, np.array(inverse), rows < k
     for table in tables:
         table.flags.writeable = False   # shared by every call
     return tables
@@ -124,10 +122,9 @@ def _bounded_lsq(gram: np.ndarray, rhs: np.ndarray, lo: float, hi: float) -> np.
     """
     k = rhs.size
     system, sides, inverse, leading = _support_tables(k)
-    padded = np.zeros((k + 1, k + 1))
+    padded = np.eye(2 * k)
     padded[:k, :k] = gram
-    padded[k, k] = 1.0
-    rhs_ones = np.zeros((k + 1, 2))
+    rhs_ones = np.zeros((2 * k, 2))
     rhs_ones[:k, 0] = rhs
     rhs_ones[:k, 1] = 1.0
     solved = np.linalg.solve(padded.take(system), rhs_ones[sides])

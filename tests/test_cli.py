@@ -293,6 +293,22 @@ class TestValidate:
         result = mdsr.validate.check_rate_conservation()
         assert not result.passed, result.detail
 
+    def test_trace_preservation_reads_every_trace_row(self, monkeypatch):
+        # the trace row of rho_33 off by 1e-6 in the column of X_05: tr L(X)
+        # is then nonzero for every X with X_05 != 0
+        import mdsr.bloch
+        import mdsr.validate
+
+        def perturbed(h, scheme, decay):
+            lmat = mdsr.bloch.build_liouvillian(h, scheme, decay)
+            lmat[3 * (scheme.dim + 1), 5] += 1e-6
+            return lmat
+
+        monkeypatch.setattr(mdsr.validate, "build_liouvillian", perturbed)
+        result = mdsr.validate.check_trace_preservation()
+        assert not result.passed
+        assert result.detail == "max |tr L(X)| 1.00e-06"
+
 
 def _write_config(tmp_path, data):
     (tmp_path / "run.ini").write_bytes(data)

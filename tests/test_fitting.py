@@ -241,6 +241,40 @@ SUM_BOUNDS = {"lo<=0": [(0.0, 2.0), (-1.0, 0.5)], "0<lo<hi": [(0.5, 2.0)],
               "lo==hi": [(1.0, 1.0), (0.3, 0.3)]}
 
 
+class TestSupportTables:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stacked_systems_hold_each_support_alone(self, k, monkeypatch):
+        # the arrays handed to LAPACK, compared bit for bit: no BLAS result enters
+        supports = [list(s) for size in range(1, k + 1) for s in combinations(range(k), size)]
+        stacked = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: stacked.append((a, b)) or solve(a, b))
+        rng = np.random.default_rng(k)
+        for scale in (1e-6, 1.0, 1e6):
+            gram, rhs = random_problem(rng, k, scale)
+            stacked.clear()
+            fitting._bounded_lsq(gram, rhs, 0.0, np.inf)
+            [(systems, sides)] = stacked
+            assert systems.shape == (len(supports), k, k) and sides.shape == (len(supports), k, 2)
+            for s, system, side in zip(supports, systems, sides):
+                n = len(s)
+                np.testing.assert_array_equal(system[:n, :n], gram[np.ix_(s, s)])
+                np.testing.assert_array_equal(system[n:, n:], np.eye(k - n))
+                assert not system[:n, n:].any() and not system[n:, :n].any()
+                np.testing.assert_array_equal(side[:n], np.column_stack([rhs[s], np.ones(n)]))
+                assert not side[n:].any()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_inverse_returns_each_index_to_its_place(self, k):
+        supports = [s for size in range(1, k + 1) for s in combinations(range(k), size)]
+        _system, _sides, inverse, leading = fitting._support_tables(k)
+        places = np.arange(1.0, 1.0 + len(supports) * k).reshape(-1, k)
+        ys = np.where(leading, places, 0.0)
+        for s, first, place, y in zip(supports, leading, places, ys.take(inverse)):
+            np.testing.assert_array_equal(first, np.arange(k) < len(s))
+            np.testing.assert_array_equal(y, [place[s.index(j)] if j in s else 0.0 for j in range(k)])
+
+
 class TestStackedBoundedLsq:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("bounds", sorted(SUM_BOUNDS))
