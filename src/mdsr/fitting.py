@@ -5,11 +5,14 @@ x = w / n >= 0 and B the per-sublevel optical depth at the model's density n
 (`spectrum.optical_depth_basis`, built once per fit).  One solver serves every
 fit and profile point: a damped Gauss-Newton with the analytic Jacobian
 J = -T B on {x >= 0, lo <= sum(x) <= hi}, each step minimising the damped
-linearised cost over that set exactly: every support of x (7 for 3 weights)
-is solved in one stacked LAPACK call and the best sign-feasible candidate
-wins (the active-set enumeration of Lawson & Hanson, ch. 23).  It starts from
-the same bounded least squares on -ln T, so there is no start list or initial
-guess.
+linearised cost over that set exactly.  The full support is solved first,
+as one k x k system with the sum clipped to [lo, hi]: a point whose every
+weight exceeds INTERIOR_MARGIN times the sum meets the KKT conditions and is
+the step.  Only nearer a face, where rounding could leave a weight a hair
+above 0, is every support of x (7 for 3 weights) solved in one stacked
+LAPACK call and the best sign-feasible candidate taken (the active-set
+enumeration of Lawson & Hanson, ch. 23).  It starts from the same bounded
+least squares on -ln T, so there is no start list or initial guess.
 Fixed-density fits and density profiles pin sum(x); population profiles fit
 two weights u through w = A u.  A fit reports why it stopped
 (`FitResult.stop_reason`).
@@ -37,6 +40,10 @@ RESIDUAL_DECREASE_TOL = 1e-12
 MIN_DAMPING = 1e-12
 MAX_DAMPING_TRIES = 40
 DIAG_FLOOR = 1e-12
+# a full-support step whose every weight exceeds this share of their sum is
+# the step; nearer a face, rounding can put a weight a hair above 0 where the
+# support enumeration finds it exactly 0 at a lower cost
+INTERIOR_MARGIN = 1e-6
 # -ln T of a point below this transmission is dominated by noise
 WARM_START_FLOOR = 0.05
 # Reference-noise fits stop within 43 iterations.  A fit that reaches the cap
@@ -109,29 +116,44 @@ def _support_tables(k: int):
     return tables
 
 
+def _clip_sum(solved: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Minimisers from solved = G_S^-1 [rhs_S, 1_S] (..., k, 2), each moved
+    along G_S^-1 1_S until its sum is clipped to [lo, hi]."""
+    total, along_total = solved.sum(axis=-2).T
+    excess = total - np.minimum(np.maximum(total, lo), hi)
+    return solved[..., 0] - (excess / along_total)[..., None] * solved[..., 1]
+
+
 def _bounded_lsq(gram: np.ndarray, rhs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """argmin y'Gy - 2 rhs'y over {y >= 0, lo <= sum(y) <= hi}, G positive definite.
 
     The minimiser with support S also minimises over {supp(y) = S,
     lo <= sum(y) <= hi} with no sign constraint, where the sum is that of the
-    unconstrained minimiser clipped to [lo, hi].  So the best sign-feasible
-    candidate over all supports (at most 7 for 3 unknowns) is exact.  One
-    stacked solve gives every support's unconstrained minimiser and its
-    direction along the sum; ties keep the first support in `combinations`
-    order.
+    unconstrained minimiser clipped to [lo, hi].  The full support is solved
+    first, alone.  If every component exceeds INTERIOR_MARGIN times the sum,
+    the point is positive and the multiplier of a clipped sum has the sign
+    its active bound needs, so it meets the KKT conditions and, G being
+    positive definite, is the unique minimiser.  The margin sends a point
+    within rounding of a face to the enumeration, which finds such a
+    component exactly 0 at a lower cost; with it, every step is the one the
+    enumeration alone would take, bit for bit.  Otherwise the best
+    sign-feasible candidate over all supports (at most 7 for 3 unknowns) is
+    exact: one stacked solve gives every support's unconstrained minimiser and
+    its direction along the sum; ties between candidates keep the first
+    support in `combinations` order.
     """
     k = rhs.size
-    system, sides, inverse, leading = _support_tables(k)
-    padded = np.eye(2 * k)
-    padded[:k, :k] = gram
     rhs_ones = np.zeros((2 * k, 2))
     rhs_ones[:k, 0] = rhs
     rhs_ones[:k, 1] = 1.0
+    y = _clip_sum(np.linalg.solve(gram, rhs_ones[:k]), lo, hi)
+    if y.min() > INTERIOR_MARGIN * y.sum():
+        return y
+    system, sides, inverse, leading = _support_tables(k)
+    padded = np.eye(2 * k)
+    padded[:k, :k] = gram
     solved = np.linalg.solve(padded.take(system), rhs_ones[sides])
-    total, along_total = solved.sum(axis=1).T
-    free, along_sum = solved[..., 0], solved[..., 1]
-    excess = total - np.minimum(np.maximum(total, lo), hi)
-    ys = np.where(leading, free - (excess / along_total)[:, None] * along_sum, 0.0)
+    ys = np.where(leading, _clip_sum(solved, lo, hi), 0.0)
     twice_rhs = 2.0 * rhs
     best, best_value = (np.zeros(k), 0.0) if lo <= 0 else (None, np.inf)
     for y in ys.take(inverse)[ys.min(axis=1) >= 0]:
@@ -246,6 +268,8 @@ def profile_scan(problem: FitProblem, param: str, grid) -> list:
     if param not in PROFILE_PARAMS:
         raise ValueError(f"unknown profile parameter {param!r}")
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"profile grid must be one-dimensional, not of shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("profile grid is empty")
     upper = np.inf if param == "n_f1" else 1.0

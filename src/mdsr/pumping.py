@@ -42,6 +42,11 @@ PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 THETA13 = 5.371920351148152
+# matrices per expm block: the temporaries of design_pump's 99-matrix grid in
+# one piece (up to 800 kB each) are mapped in afresh on every call, those of
+# a block of 16 (at most 128 KiB for 16 x 16 matrices) are mostly reused;
+# smaller blocks cost more time per matrix
+EXPM_BLOCK = 16
 # the approximant's four sums as rows of coefficients of (I, A^2, A^4, A^6):
 # the odd part is U = A (A^6 X1 + X2), the even part V = A^6 Y1 + Y2
 _PADE13_SUMS = np.array([(0.0, *PADE13[9::2]), (0.0, *PADE13[8::2]),    # X1, Y1
@@ -162,10 +167,21 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     Each matrix is scaled by its own power of two, 2**-s with s >= 0 the
     least that brings its 1-norm below THETA13, and squared back s times.
-    The stack is squared in lockstep, a matrix that needs no more squarings
-    keeping its value, so a matrix gives the same bits alone as inside any
-    stack."""
+    A stack is evaluated EXPM_BLOCK matrices at a time, and each block is
+    squared in lockstep, a matrix that needs no more squarings keeping its
+    value, so a matrix gives the same bits alone as inside any stack."""
     a = np.asarray(a, dtype=float)
+    stack = a.reshape(-1, *a.shape[-2:])
+    if len(stack) <= EXPM_BLOCK:
+        return _expm_block(a)
+    out = np.empty_like(stack)
+    for start in range(0, len(stack), EXPM_BLOCK):
+        out[start:start + EXPM_BLOCK] = _expm_block(stack[start:start + EXPM_BLOCK])
+    return out.reshape(a.shape)
+
+
+def _expm_block(a: np.ndarray) -> np.ndarray:
+    """expm of one block: a float matrix or a stack of them (..., n, n)."""
     n = a.shape[-1]
     col_sums = np.abs(a).sum(axis=-2)
     top = float(col_sums.max(initial=0.0))

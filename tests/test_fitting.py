@@ -182,6 +182,19 @@ class TestProfileScan:
         with pytest.raises(ValueError):
             profile_scan(problem, "p_zero", np.array([]))
 
+    @pytest.mark.parametrize("param, grid", [
+        ("p_minus", [[0.2, 0.3], [0.4, 0.5]]),
+        ("n_f1", [[0.6e11, 1.2e11]]),
+        ("p_zero", 0.5),
+    ], ids=["2d-population", "2d-density", "scalar"])
+    def test_grid_not_one_dimensional_rejected_before_fitting(self, grid161, monkeypatch,
+                                                              param, grid):
+        s, model = observed_for(REFERENCE_POPS[0], grid161)
+        problem = FitProblem(observed=s, model_template=model)
+        monkeypatch.setattr(fitting, "_solve", lambda *args: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            profile_scan(problem, param, np.array(grid))
+
 
 class TestStopReason:
     def test_exact_data_stop_on_step(self, grid161):
@@ -241,20 +254,28 @@ SUM_BOUNDS = {"lo<=0": [(0.0, 2.0), (-1.0, 0.5)], "0<lo<hi": [(0.5, 2.0)],
               "lo==hi": [(1.0, 1.0), (0.3, 0.3)]}
 
 
+def recording_solve(monkeypatch):
+    """Record the arrays each `np.linalg.solve` call receives."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append((a, b)) or solve(a, b))
+    return calls
+
+
 class TestSupportTables:
     @pytest.mark.parametrize("k", [2, 3])
     def test_stacked_systems_hold_each_support_alone(self, k, monkeypatch):
         # the arrays handed to LAPACK, compared bit for bit: no BLAS result enters
         supports = [list(s) for size in range(1, k + 1) for s in combinations(range(k), size)]
-        stacked = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: stacked.append((a, b)) or solve(a, b))
+        calls = recording_solve(monkeypatch)
         rng = np.random.default_rng(k)
         for scale in (1e-6, 1.0, 1e6):
-            gram, rhs = random_problem(rng, k, scale)
-            stacked.clear()
+            gram, _rhs = random_problem(rng, k, scale)
+            # the unconstrained minimiser has a negative weight: the enumeration runs
+            rhs = gram @ np.array([1.0, -0.5, 2.0][:k])
+            calls.clear()
             fitting._bounded_lsq(gram, rhs, 0.0, np.inf)
-            [(systems, sides)] = stacked
+            [(systems, sides)] = [call for call in calls if call[0].ndim == 3]
             assert systems.shape == (len(supports), k, k) and sides.shape == (len(supports), k, 2)
             for s, system, side in zip(supports, systems, sides):
                 n = len(s)
@@ -263,6 +284,19 @@ class TestSupportTables:
                 assert not system[:n, n:].any() and not system[n:, :n].any()
                 np.testing.assert_array_equal(side[:n], np.column_stack([rhs[s], np.ones(n)]))
                 assert not side[n:].any()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_interior_minimiser_takes_one_solve(self, k, monkeypatch):
+        calls = recording_solve(monkeypatch)
+        rng = np.random.default_rng(k)
+        for scale in (1e-6, 1.0, 1e6):
+            gram, _rhs = random_problem(rng, k, scale)
+            want = np.array([1.0, 2.0, 3.0][:k])
+            calls.clear()
+            got = fitting._bounded_lsq(gram, gram @ want, 0.0, np.inf)
+            [(system, side)] = calls
+            assert system.shape == (k, k) and side.shape == (k, 2)
+            np.testing.assert_allclose(got, want, rtol=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_inverse_returns_each_index_to_its_place(self, k):
@@ -278,23 +312,33 @@ class TestSupportTables:
 class TestStackedBoundedLsq:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("bounds", sorted(SUM_BOUNDS))
-    def test_matches_per_support_solve(self, k, bounds):
+    def test_matches_per_support_solve(self, k, bounds, monkeypatch):
+        calls = recording_solve(monkeypatch)
+        paths = set()
         rng = np.random.default_rng(1000 * k + len(bounds))
         for scale in 10.0 ** np.arange(-6, 7, 2):
             for lo, hi in SUM_BOUNDS[bounds]:
                 for _ in range(20):
                     gram, rhs = random_problem(rng, k, scale)
+                    calls.clear()
                     got = fitting._bounded_lsq(gram, rhs, lo, hi)
+                    paths.add("enumeration" if len(calls) > 1 else "interior")
                     want = per_support_bounded_lsq(gram, rhs, lo, hi)
                     assert got.shape == (k,)
                     np.testing.assert_array_equal(got == 0, want == 0)
                     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
                     assert got.min() >= 0 and lo - 1e-12 <= got.sum() <= hi + 1e-12
+        assert paths == {"interior", "enumeration"}
 
     def test_fits_match_per_support_reference(self, grid161, monkeypatch):
-        problems = [FitProblem(observed=observed_for(truth, grid161, sigma=0.01, seed=seed)[0],
-                               model_template=make_model())
-                    for truth in REFERENCE_POPS for seed in range(20)]
+        # a face truth without noise leaves a weight within rounding of 0,
+        # which the interior solve must hand to the enumeration
+        inputs = [(truth, n_f1, 0.01, seed) for n_f1 in (1.2e11, 1e12, 3e12)
+                  for truth in REFERENCE_POPS for seed in range(20)]
+        inputs.append(((0.2, 0.0, 0.8), 3e12, 0.0, 0))
+        problems = [FitProblem(observed=observed_for(truth, grid161, sigma, seed, n_f1=n_f1)[0],
+                               model_template=make_model(n_f1=n_f1))
+                    for truth, n_f1, sigma, seed in inputs]
         shipped = [fit_populations(p) for p in problems]
         monkeypatch.setattr(fitting, "_bounded_lsq", per_support_bounded_lsq)
         for problem, got in zip(problems, shipped):

@@ -8,6 +8,7 @@ from mdsr.bloch import LaserField
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.pumping import (
     DEFAULT_PUMP_DURATION_MS,
+    EXPM_BLOCK,
     MAX_POWER_MW,
     MAX_PUMP_DURATION_MS,
     MHZ_TO_PER_MS,
@@ -336,6 +337,15 @@ class TestExpm:
         assert np.maximum(scales, 0).tolist() == [0, 2, 7, 12, 15]
         together = expm(stack)
         for matrix, alone in zip(stack, together):
+            assert np.array_equal(expm(matrix), alone)
+
+    def test_long_stack_in_blocks_matches_single_matrices(self, scheme16):
+        # every scaling of the design durations, over two blocks and part of a third
+        stack = np.concatenate([design_stack(scheme16, t)[::11] for t in DESIGN_DURATIONS_MS])
+        assert 2 * EXPM_BLOCK < len(stack) < 3 * EXPM_BLOCK
+        together = expm(stack.reshape(9, 5, *stack.shape[1:]))
+        assert together.shape == (9, 5, *stack.shape[1:])
+        for matrix, alone in zip(stack, together.reshape(stack.shape)):
             assert np.array_equal(expm(matrix), alone)
 
     def test_known_exponentials(self):
