@@ -6,13 +6,10 @@ The decay model maps the two phenomenological coherence decays
 population decay Gamma = 2(gamma_ac - gamma_ab) branched by squared
 dipole amplitudes, plus pure dephasing gamma_ab added to ground-ground
 and optical coherences.  With that split the weak-probe Lambda coherence
-of `lambda_coherence_analytic` is reproduced exactly by the full model.
+of `lambda_coherence_analytic`, the closed form that the tests and the
+checks in `validate` compare with, is reproduced exactly by the full model.
 The sublevel pairs a field drives come from `LevelScheme.driven`, the one
 selection rule.
-That function is the package's one copy of the Lambda formula: the
-production spectrum (`spectrum.susceptibility_grid`) evaluates it on whole
-detuning grids, and the checks in `validate` compare it with this module's
-Liouvillian.
 
 `steady_state` needs a one-dimensional kernel: on a degenerate one (dark or
 decoupled subspaces) it returns rho0 if rho0 is stationary and raises
@@ -29,6 +26,7 @@ The probe detuning moves only frame offsets, so a scan is one stacked solve
 on L0(0) + delta * diag(slope).  Block entries that L0 couples to no other
 (off-diagonal entries only) and the probe does not drive are exactly 0 and
 left out: at gamma_ab = 0 their diagonal alone vanishes on two-photon resonance.
+`probe_resolvents` reads the same block off H for the production spectrum.
 """
 
 from __future__ import annotations
@@ -221,10 +219,6 @@ def lambda_coherence_analytic(omega_p, omega_c, delta_p, delta_c, gamma_ac, gamm
     omega_c = np.asarray(omega_c, dtype=float)
     raman = np.asarray(gamma_ab + 1j * np.subtract(delta_p, delta_c))
     resonant = raman == 0.0
-    # a resonant entry divides by 1 instead: no dressing where omega_c = 0,
-    # and the dark-state 0 is set below where omega_c != 0.  Both guards
-    # write in place: a fresh array per guard costs more than the guard
-    # itself on a 3201-point grid.
     np.copyto(raman, 1.0, where=resonant)
     rho = np.asarray((0.5j * omega_p) / (gamma_ac + 1j * delta_p + (omega_c * omega_c / 4.0) / raman))
     np.copyto(rho, 0.0, where=resonant & (omega_c != 0.0))
@@ -289,3 +283,36 @@ def weak_probe_coherences(
     rho1 = rho1.reshape(delta.shape + (n, n))
     rho1[..., cols[:, None], rows] = np.swapaxes(rho1[..., rows[:, None], cols], -1, -2).conj()
     return -rho1
+
+
+def probe_resolvents(scheme: LevelScheme, coupling: LaserField, probe: LaserField,
+                     decay: DecayModel) -> tuple:
+    """First-order probe response of each sublevel a of the probe's ground
+    manifold, which only the probe may drive (as `ExperimentModel` checks),
+    one column per sublevel in scheme order:
+    chi_a(delta) = 1/2 d_a^T (delta + H_aa - H_eff)^-1 d_a, with H at zero
+    probe detuning, d_a = -2 H[a, .] and H_eff the block of H outside that
+    manifold plus i gamma_ac on excited and i gamma_ab on ground levels: the
+    block `weak_probe_coherences` solves, read off H.  One coupling beam pairs
+    a level with at most one other, so the probe drives a level c and at most
+    one partner b, found from H's nonzero entries.  Cramer's rule gives
+    chi_a = half_d2 m_b / (m_c m_b - h2), m_x = delta slope_x + u_x, an absent
+    level a decoupled unit row; returns (half_d2, slope_c, u_c, slope_b, u_b, h2)."""
+    gman = probe.transition[0]
+    h = build_hamiltonian(scheme, [coupling, replace(probe, detuning=0.0)]).real
+    in_g = np.array([s.manifold is gman for s in scheme.sublevels])
+    level = np.diag(h)
+    drive = h - np.diag(level)
+    rows = np.flatnonzero(in_g)
+    half_d2, slope_c, slope_b, h2 = np.zeros((4, len(rows)))
+    u_c, u_b = np.ones((2, len(rows)), dtype=complex)
+    # probe links a -> c (c excited), then the coupling partner b of c (b ground)
+    k, c = np.nonzero(drive[rows])
+    j, b = np.nonzero(drive[c] * ~in_g)
+    half_d2[k] = 2.0 * drive[rows[k], c] ** 2
+    slope_c[k] = 1.0
+    u_c[k] = level[rows[k]] - level[c] - 1j * decay.gamma_ac
+    slope_b[k[j]] = 1.0
+    u_b[k[j]] = level[rows[k[j]]] - level[b] - 1j * decay.gamma_ab
+    h2[k[j]] = drive[c[j], b] ** 2
+    return half_d2, slope_c, u_c, slope_b, u_b, h2

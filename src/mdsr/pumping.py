@@ -172,8 +172,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     value, so a matrix gives the same bits alone as inside any stack."""
     a = np.asarray(a, dtype=float)
     stack = a.reshape(-1, *a.shape[-2:])
-    if len(stack) <= EXPM_BLOCK:
-        return _expm_block(a)
     out = np.empty_like(stack)
     for start in range(0, len(stack), EXPM_BLOCK):
         out[start:start + EXPM_BLOCK] = _expm_block(stack[start:start + EXPM_BLOCK])

@@ -1,24 +1,22 @@
 """Probe susceptibility and transmission spectra.
 
 The total susceptibility is the population-weighted sum of three
-independent probe terms (one per F=1 ground sublevel), each a weak-probe
-Lambda (or bare two-level, where the coupling partner is forbidden)
-coherence.  The probe links and their coupling partners come from the one
-selection rule, `LevelScheme.driven`.  Every term comes from the one copy of
-that formula, `bloch.lambda_coherence_analytic`, evaluated elementwise over
-the detuning grid by `_terms`; `susceptibility_grid` and `optical_depth_basis`
-both read those terms.  The full Liouvillian solver in `bloch` serves as the
-cross-validation oracle for this additive production path.
+independent probe terms (one per F=1 ground sublevel), each the first-order
+probe response that `bloch.probe_resolvents` reads off the Hamiltonian,
+derived once per `ExperimentModel` and evaluated elementwise over the
+detuning grid by `_terms`; `susceptibility_grid` and `optical_depth_basis`
+both read those terms.  `bloch.weak_probe_coherences`, the full
+Liouvillian's probe block, is the cross-validation oracle of this path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import DecayModel, LaserField, lambda_coherence_analytic
+from .bloch import DecayModel, LaserField, probe_resolvents
 from .levels import D1_WAVELENGTH_NM, LevelScheme, Manifold
 
 HBAR_JS = 1.054571817e-34
@@ -68,6 +66,9 @@ class ExperimentModel:
             raise ValueError("the probe must address the F=1 ground manifold")
         if self.coupling.transition[0] is Manifold.G1:
             raise ValueError("the coupling must not drive the probe's F=1 ground manifold")
+        # the per-model part of every spectrum, derived rather than a field
+        object.__setattr__(self, "_resolvents", probe_resolvents(
+            self.scheme, self.coupling, replace(self.probe, rabi_scale=UNIT_PROBE_RABI), self.decay))
 
 
 @dataclass(frozen=True)
@@ -106,43 +107,18 @@ def susceptibility_prefactor(n_f1_cm3: float, reduced_dipole_cm: float) -> float
     return n_m3 * reduced_dipole_cm**2 / (HBAR_JS * EPSILON0_F_PER_M * RAD_PER_S_PER_MHZ)
 
 
-def _term_parameters(model: ExperimentModel):
-    """Per-term arrays (probe amp^2, partner coupling Rabi, Zeeman offsets)
-    for the three F=1 probe transitions, ordered a_-1, a_0, a_+1.  A term
-    without a probe link is zeros; one whose excited sublevel the coupling
-    does not drive is a bare line (zero coupling Rabi, partner shift 0)."""
-    scheme, probe, coupling = model.scheme, model.probe, model.coupling
-    zeeman = [scheme.zeeman[s] for s in scheme.sublevels]
-    partner = {j: (amp, zeeman[i]) for i, j, amp in scheme.driven(coupling.q, coupling.transition)}
-    amp2, omega_c, dp_shift, dc_shift = np.zeros((4, 2 * probe.transition[0].f + 1))
-    for i, j, rel_p in scheme.driven(probe.q, probe.transition):
-        col = scheme.sublevels[i].m + probe.transition[0].f
-        rel_c, zb = partner.get(j, (0.0, 0.0))
-        amp2[col] = rel_p * rel_p
-        omega_c[col] = abs(rel_c) * coupling.rabi_scale
-        dp_shift[col] = zeeman[j] - zeeman[i]
-        dc_shift[col] = zeeman[j] - zb
-    return amp2, omega_c, dp_shift, dc_shift
-
-
 def _terms(model: ExperimentModel, weights: np.ndarray, deltas) -> np.ndarray:
     """Susceptibility of each F=1 probe term (columns a_-1, a_0, a_+1) at each
-    detuning (MHz, rows), with term i weighted by population weights[i]:
-
-        C * weights_i * amp_i^2 * rho_i(dp - dps_i),
-
-    rho_i the Lambda coherence of `lambda_coherence_analytic` at unit probe
-    Rabi frequency, its coupling detuning shifted by dcs_i, and C the
-    dimensionless susceptibility prefactor.  The weights enter before rho, in
-    that product order: a sum of unit-weight terms scaled afterwards would
-    round differently and change spectra in the last bit.
-    """
-    amp2, omega_c, dp_shift, dc_shift = _term_parameters(model)
+    detuning (MHz, rows), term i weighted by population weights[i]: C times
+    the weights times the model's `bloch.probe_resolvents` terms, C the
+    susceptibility prefactor.  The factors that do not depend on the detuning
+    come first, the weights among them: a sum of unit-weight terms scaled
+    afterwards would round differently in the last bit."""
+    half_d2, slope_c, u_c, slope_b, u_b, h2 = model._resolvents
     pref = susceptibility_prefactor(model.n_f1, model.scheme.reduced_dipole)
-    rho = lambda_coherence_analytic(
-        UNIT_PROBE_RABI, omega_c, np.asarray(deltas, dtype=np.float64)[:, None] - dp_shift,
-        model.coupling.detuning - dc_shift, model.decay.gamma_ac, model.decay.gamma_ab)
-    return pref * weights * amp2 * rho
+    d = np.asarray(deltas, dtype=np.float64)[:, None]
+    m_b = d * slope_b + u_b
+    return pref * weights * half_d2 * m_b / ((d * slope_c + u_c) * m_b - h2)
 
 
 def susceptibility_grid(model: ExperimentModel, pops: PopulationDistribution,

@@ -4,8 +4,7 @@ Each check is independent and returns a CheckResult: a name, a Python bool
 and a detail line.  The checks read the model that the commands run: its
 amplitude table (`LevelScheme.couplings`), Liouvillian, spectrum and pump
 propagator, not copies of them.  The oracle checks pit the full Liouvillian
-machinery against the closed-form weak-probe coherence that the production
-spectrum path is built on.
+against the closed-form Lambda coherence, `bloch.lambda_coherence_analytic`.
 """
 
 from __future__ import annotations

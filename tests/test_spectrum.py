@@ -1,9 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mdsr.bloch import LaserField, weak_probe_coherences
+from mdsr.bloch import LaserField, lambda_coherence_analytic, weak_probe_coherences
 from mdsr.config import RunConfig
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.spectrum import (
@@ -180,6 +181,42 @@ class TestSusceptibility:
         chi = susceptibility_grid(reference_model, pops, grid)
         for d, c in zip(grid, chi):
             assert susceptibility_grid(reference_model, pops, [d])[0] == c
+
+    @pytest.mark.parametrize("b_field, gamma_ab", itertools.product([0.0, 0.15, 3.0], [0.0, 2.0]))
+    def test_matches_closed_form_lambda_terms(self, b_field, gamma_ab):
+        """Each sublevel's term is the analytic Lambda (or bare-line) coherence,
+        composed here from the amplitude table, the Zeeman shifts and the
+        coupling detuning, with the same zeros."""
+        grid = np.append(np.linspace(-300.0, 300.0, 601), 7.3)
+        for omega_c, detuning in itertools.product([0.0, 2.0, 4.0, 78.0, 120.0, 500.0], [0.0, 7.3]):
+            model = RunConfig(b_field=b_field, gamma_ab=gamma_ab, omega_c=omega_c,
+                              coupling_detuning=detuning).experiment_model()
+            scheme, z = model.scheme, model.scheme.zeeman
+            pref = susceptibility_prefactor(model.n_f1, scheme.reduced_dipole)
+            for k, m in enumerate((-1, 0, 1)):
+                a, b, c = Sublevel(Manifold.G1, m), Sublevel(Manifold.G2, m - 1), Sublevel(Manifold.E2, m - 1)
+                amp_p, amp_c = scheme.coupling(a, c, -1), scheme.coupling(b, c, 0)
+                expected = pref * amp_p ** 2 * lambda_coherence_analytic(
+                    1.0, abs(amp_c) * omega_c, grid - (z[c] - z[a]),
+                    detuning - (z[c] - z[b]), model.decay.gamma_ac, gamma_ab)
+                chi = susceptibility_grid(model, PopulationDistribution(*np.eye(3)[k]), grid)
+                assert np.array_equal(chi == 0, expected == 0)
+                seen = expected != 0
+                assert np.max(np.abs(chi - expected)[seen] / np.abs(expected[seen])) <= 1e-12
+
+    def test_zero_coupling_rabi_leaves_bare_lines_at_undamped_resonance(self):
+        # with no coupling, no level is paired with c, so the point where an
+        # undamped partner b would sit on two-photon resonance (delta = 0 at
+        # B = 0) is an ordinary point of the bare line
+        model = RunConfig(omega_c=0.0, gamma_ab=0.0, b_field=0.0).experiment_model()
+        scheme, grid = model.scheme, np.linspace(-80.0, 80.0, 161)
+        pref = susceptibility_prefactor(model.n_f1, scheme.reduced_dipole)
+        for k, m in enumerate((-1, 0, 1)):
+            d = scheme.coupling(Sublevel(Manifold.G1, m), Sublevel(Manifold.E2, m - 1), -1)
+            bare = pref * (0.5 * d * d) / (grid - 1j * model.decay.gamma_ac)
+            chi = susceptibility_grid(model, PopulationDistribution(*np.eye(3)[k]), grid)
+            assert np.all(np.isfinite(chi))
+            assert np.array_equal(chi, bare)
 
 
 class TestLiouvillianOracle:
