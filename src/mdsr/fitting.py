@@ -9,8 +9,8 @@ linearised cost over that set exactly.  The full support is solved first,
 as one k x k system with the sum clipped to [lo, hi]: a point whose every
 weight exceeds INTERIOR_MARGIN times the sum meets the KKT conditions and is
 the step.  Only nearer a face, where rounding could leave a weight a hair
-above 0, is every support of x (7 for 3 weights) solved in one stacked
-LAPACK call and the best sign-feasible candidate taken (the active-set
+above 0, are the proper faces (6 for 3 weights) solved in one stacked LAPACK
+call beside it and the best sign-feasible support taken (the active-set
 enumeration of Lawson & Hanson, ch. 23).  It starts from the same bounded
 least squares on -ln T, so there is no start list or initial guess.
 Fixed-density fits and density profiles pin sum(x); population profiles fit
@@ -90,30 +90,17 @@ def residuals(problem: FitProblem, pops: PopulationDistribution, n_f1: float) ->
 
 
 @cache
-def _support_tables(k: int):
-    """Gather tables that stack the systems of every nonempty support S of range(k).
-
-    Supports come in `combinations` order, and S reads rows
-    list(S) + list(range(k + |S|, 2k)) of the 2k x 2k [[G, 0], [0, I]] and of
-    [[rhs, 1], [0, 0]]: G restricted to S, then the identity, with sides
-    (rhs_S, 1_S), then zeros, so LAPACK factors the block exactly as it would
-    alone.  `system` is that gather on the flattened matrix, `sides` the rows
-    and `leading` marks the first |S| places; `inverse` (flat) maps each index
-    of S back from its place and any other from place |S|, which holds 0.
-    Built in plain Python: `np.argsort` would load numpy's sort code and raise
-    peak memory for no gain.
+def _face_rows(k: int) -> np.ndarray:
+    """Rows of [[G, 0], [0, I_{k-1}]] and of [[rhs, 1], [0, 0]] that stack each
+    proper face S of range(k), in `combinations` order, as a (k-1) x (k-1)
+    system: G restricted to S, then the identity, with sides (rhs_S, 1_S), then
+    zeros, so LAPACK factors the block exactly as it would alone.  The same
+    rows scatter S's weights back to their columns, the padding past column k.
     """
-    rows, inverse = [], []
-    for size in range(1, k + 1):
-        for support in combinations(range(k), size):
-            rows.append(list(support) + list(range(k + size, 2 * k)))
-            inverse.append([len(inverse) * k + (support.index(j) if j in support else size)
-                            for j in range(k)])
-    rows = np.array(rows)
-    tables = rows[:, :, None] * 2 * k + rows[:, None, :], rows, np.array(inverse), rows < k
-    for table in tables:
-        table.flags.writeable = False   # shared by every call
-    return tables
+    rows = np.array([list(face) + list(range(k + size, 2 * k - 1))
+                     for size in range(1, k) for face in combinations(range(k), size)])
+    rows.flags.writeable = False   # shared by every call
+    return rows
 
 
 def _clip_sum(solved: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -137,26 +124,28 @@ def _bounded_lsq(gram: np.ndarray, rhs: np.ndarray, lo: float, hi: float) -> np.
     within rounding of a face to the enumeration, which finds such a
     component exactly 0 at a lower cost; with it, every step is the one the
     enumeration alone would take, bit for bit.  Otherwise the best
-    sign-feasible candidate over all supports (at most 7 for 3 unknowns) is
-    exact: one stacked solve gives every support's unconstrained minimiser and
-    its direction along the sum; ties between candidates keep the first
-    support in `combinations` order.
+    sign-feasible candidate over all supports is exact: one stacked solve of
+    the proper faces (6 for 3 unknowns) gives their candidates, the full
+    support's comes last, and a tie keeps the first in `combinations` order.
     """
     k = rhs.size
-    rhs_ones = np.zeros((2 * k, 2))
+    rhs_ones = np.zeros((2 * k - 1, 2))
     rhs_ones[:k, 0] = rhs
     rhs_ones[:k, 1] = 1.0
     y = _clip_sum(np.linalg.solve(gram, rhs_ones[:k]), lo, hi)
     if y.min() > INTERIOR_MARGIN * y.sum():
         return y
-    system, sides, inverse, leading = _support_tables(k)
-    padded = np.eye(2 * k)
+    rows = _face_rows(k)
+    padded = np.eye(2 * k - 1)
     padded[:k, :k] = gram
-    solved = np.linalg.solve(padded.take(system), rhs_ones[sides])
-    ys = np.where(leading, _clip_sum(solved, lo, hi), 0.0)
+    solved = np.linalg.solve(padded[rows[:, :, None], rows[:, None, :]], rhs_ones[rows])
+    ys = np.zeros((len(rows) + 1, 2 * k - 1))
+    ys[np.arange(len(rows))[:, None], rows] = _clip_sum(solved, lo, hi)
+    ys[-1, :k] = y
     twice_rhs = 2.0 * rhs
     best, best_value = (np.zeros(k), 0.0) if lo <= 0 else (None, np.inf)
-    for y in ys.take(inverse)[ys.min(axis=1) >= 0]:
+    ys = ys[:, :k]
+    for y in ys[ys.min(axis=1) >= 0]:
         value = y @ gram @ y - twice_rhs @ y
         if value < best_value:
             best, best_value = y, value

@@ -9,7 +9,10 @@ beams act on disjoint transitions and only populations are needed.
 Rates are in 1/ms.  The pump duration is an *effective* interaction
 time: with a top-hat beam the stated experimental powers would all fully
 polarize within the real pre-probe window, so absolute power-to-purity
-curves are not reproduced, only orderings and dark-state limits.
+curves are not reproduced, only orderings and dark-state limits.  Its clock
+is the linewidth in linear MHz, Gamma = 5.75e3 /ms, where the physical decay
+rate is 2 pi x 5.75 MHz = 3.61e4 /ms (27.7 ns lifetime): a duration of d ms
+is d / 2 pi ms of physical time, so the default 2e-4 ms is 31.8 ns.
 """
 
 from __future__ import annotations

@@ -66,6 +66,9 @@ class ExperimentModel:
             raise ValueError("the probe must address the F=1 ground manifold")
         if self.coupling.transition[0] is Manifold.G1:
             raise ValueError("the coupling must not drive the probe's F=1 ground manifold")
+        if self.probe.detuning != 0:
+            # a spectrum's grid is the probe detuning, so a model holds none of its own
+            raise ValueError("the probe detuning must be 0: the scan grid sets it")
         # the per-model part of every spectrum, derived rather than a field
         object.__setattr__(self, "_resolvents", probe_resolvents(
             self.scheme, self.coupling, replace(self.probe, rabi_scale=UNIT_PROBE_RABI), self.decay))

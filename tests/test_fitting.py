@@ -266,7 +266,7 @@ class TestSupportTables:
     @pytest.mark.parametrize("k", [2, 3])
     def test_stacked_systems_hold_each_support_alone(self, k, monkeypatch):
         # the arrays handed to LAPACK, compared bit for bit: no BLAS result enters
-        supports = [list(s) for size in range(1, k + 1) for s in combinations(range(k), size)]
+        faces = [list(s) for size in range(1, k) for s in combinations(range(k), size)]
         calls = recording_solve(monkeypatch)
         rng = np.random.default_rng(k)
         for scale in (1e-6, 1.0, 1e6):
@@ -275,12 +275,16 @@ class TestSupportTables:
             rhs = gram @ np.array([1.0, -0.5, 2.0][:k])
             calls.clear()
             fitting._bounded_lsq(gram, rhs, 0.0, np.inf)
-            [(systems, sides)] = [call for call in calls if call[0].ndim == 3]
-            assert systems.shape == (len(supports), k, k) and sides.shape == (len(supports), k, 2)
-            for s, system, side in zip(supports, systems, sides):
+            # the full support once, alone, then every proper face in one stack
+            assert len(calls) == 2
+            [(full, full_side), (systems, sides)] = calls
+            np.testing.assert_array_equal(full, gram)
+            np.testing.assert_array_equal(full_side, np.column_stack([rhs, np.ones(k)]))
+            assert systems.shape == (2**k - 2, k - 1, k - 1) and sides.shape == (2**k - 2, k - 1, 2)
+            for s, system, side in zip(faces, systems, sides):
                 n = len(s)
                 np.testing.assert_array_equal(system[:n, :n], gram[np.ix_(s, s)])
-                np.testing.assert_array_equal(system[n:, n:], np.eye(k - n))
+                np.testing.assert_array_equal(system[n:, n:], np.eye(k - 1 - n))
                 assert not system[:n, n:].any() and not system[n:, :n].any()
                 np.testing.assert_array_equal(side[:n], np.column_stack([rhs[s], np.ones(n)]))
                 assert not side[n:].any()
@@ -297,16 +301,6 @@ class TestSupportTables:
             [(system, side)] = calls
             assert system.shape == (k, k) and side.shape == (k, 2)
             np.testing.assert_allclose(got, want, rtol=1e-9)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_inverse_returns_each_index_to_its_place(self, k):
-        supports = [s for size in range(1, k + 1) for s in combinations(range(k), size)]
-        _system, _sides, inverse, leading = fitting._support_tables(k)
-        places = np.arange(1.0, 1.0 + len(supports) * k).reshape(-1, k)
-        ys = np.where(leading, places, 0.0)
-        for s, first, place, y in zip(supports, leading, places, ys.take(inverse)):
-            np.testing.assert_array_equal(first, np.arange(k) < len(s))
-            np.testing.assert_array_equal(y, [place[s.index(j)] if j in s else 0.0 for j in range(k)])
 
 
 class TestStackedBoundedLsq:
@@ -336,6 +330,10 @@ class TestStackedBoundedLsq:
         inputs = [(truth, n_f1, 0.01, seed) for n_f1 in (1.2e11, 1e12, 3e12)
                   for truth in REFERENCE_POPS for seed in range(20)]
         inputs.append(((0.2, 0.0, 0.8), 3e12, 0.0, 0))
+        # noisy face truths: most of their steps enumerate the faces
+        inputs += [(truth, 1.2e11, 0.01, seed) for truth in
+                   [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
+                   for seed in range(10)]
         problems = [FitProblem(observed=observed_for(truth, grid161, sigma, seed, n_f1=n_f1)[0],
                                model_template=make_model(n_f1=n_f1))
                     for truth, n_f1, sigma, seed in inputs]

@@ -84,6 +84,14 @@ class TestExperimentModel:
         with pytest.raises(ValueError, match="F=1 ground manifold"):
             replace(reference_model, probe=probe)
 
+    @pytest.mark.parametrize("detuning", [25.0, -1e-9])
+    def test_rejects_probe_detuning(self, reference_model, detuning):
+        # the scan grid is the probe detuning: a model's own would be ignored,
+        # giving the spectrum at detuning 0 bit for bit
+        probe = replace(reference_model.probe, detuning=detuning)
+        with pytest.raises(ValueError, match="probe detuning must be 0"):
+            replace(reference_model, probe=probe)
+
     def test_rejects_coupling_on_the_probe_ground_manifold(self, reference_model):
         coupling = LaserField(0, 78.0, 0.0, (Manifold.G1, Manifold.E2))
         with pytest.raises(ValueError, match="coupling must not drive"):
