@@ -261,9 +261,9 @@ def profile_scan(problem: FitProblem, param: str, grid) -> list:
         raise ValueError(f"profile grid must be one-dimensional, not of shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("profile grid is empty")
-    upper = np.inf if param == "n_f1" else 1.0
-    if not (np.all(grid >= 0) and np.all(grid <= upper)):
-        raise ValueError(f"profile values for {param} outside [0, {upper}]")
+    low, high = N_F1_RANGE_CM3 if param == "n_f1" else (0.0, 1.0)
+    if not (np.all(grid >= low) and np.all(grid <= high)):
+        raise ValueError(f"profile values for {param} outside [{low:g}, {high:g}]")
     basis = _basis(problem)
     lo, hi = _sum_bounds(problem)
     out = []

@@ -3,16 +3,18 @@
 The total susceptibility is the population-weighted sum of three
 independent probe terms (one per F=1 ground sublevel), each the first-order
 probe response that `bloch.probe_resolvents` reads off the Hamiltonian,
-derived once per `ExperimentModel` and evaluated elementwise over the
-detuning grid by `_terms`; `susceptibility_grid` and `optical_depth_basis`
-both read those terms.  `bloch.weak_probe_coherences`, the full
+derived once per (scheme, coupling, probe, decay) and evaluated elementwise
+over the detuning grid by `_terms`; a model that `dataclasses.replace` makes
+at another density or path length, as the fit's residual model is, keeps
+those coefficients.  `susceptibility_grid` and `optical_depth_basis` both
+read those terms.  `bloch.weak_probe_coherences`, the full
 Liouvillian's probe block, is the cross-validation oracle of this path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +58,8 @@ class ExperimentModel:
     decay: DecayModel
     n_f1: float            # atoms/cm^3 in the F=1 ground manifold
     path_length_mm: float
+    # (scheme, coupling, probe, decay) and the probe resolvents derived from them
+    _derived: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.n_f1) and self.n_f1 >= 0):
@@ -69,9 +73,13 @@ class ExperimentModel:
         if self.probe.detuning != 0:
             # a spectrum's grid is the probe detuning, so a model holds none of its own
             raise ValueError("the probe detuning must be 0: the scan grid sets it")
-        # the per-model part of every spectrum, derived rather than a field
-        object.__setattr__(self, "_resolvents", probe_resolvents(
-            self.scheme, self.coupling, replace(self.probe, rabi_scale=UNIT_PROBE_RABI), self.decay))
+        # the part of every spectrum that does not depend on the density or the
+        # path length, derived once per (scheme, coupling, probe, decay): a model
+        # `replace` makes with the same four objects keeps it
+        inputs = (self.scheme, self.coupling, self.probe, self.decay)
+        if self._derived is None or any(a is not b for a, b in zip(inputs, self._derived[0])):
+            object.__setattr__(self, "_derived", (inputs, probe_resolvents(
+                self.scheme, self.coupling, replace(self.probe, rabi_scale=UNIT_PROBE_RABI), self.decay)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ def _terms(model: ExperimentModel, weights: np.ndarray, deltas) -> np.ndarray:
     susceptibility prefactor.  The factors that do not depend on the detuning
     come first, the weights among them: a sum of unit-weight terms scaled
     afterwards would round differently in the last bit."""
-    half_d2, slope_c, u_c, slope_b, u_b, h2 = model._resolvents
+    half_d2, slope_c, u_c, slope_b, u_b, h2 = model._derived[1]
     pref = susceptibility_prefactor(model.n_f1, model.scheme.reduced_dipole)
     d = np.asarray(deltas, dtype=np.float64)[:, None]
     m_b = d * slope_b + u_b

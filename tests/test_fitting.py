@@ -195,6 +195,21 @@ class TestProfileScan:
         with pytest.raises(ValueError, match="one-dimensional"):
             profile_scan(problem, param, np.array(grid))
 
+    @pytest.mark.parametrize("param, value", [
+        ("n_f1", np.inf), ("n_f1", 1e308), ("n_f1", 0.0), ("n_f1", 1e14),
+        ("p_minus", 1.5), ("p_zero", -0.1),
+    ], ids=["inf", "1e308", "zero-density", "1e14", "population-above-1", "negative-population"])
+    def test_value_outside_run_range_rejected_before_fitting(self, grid161, monkeypatch,
+                                                             param, value):
+        # inf once reached `_solve` with no start point and 1e308 overflowed
+        # there; 0 and 1e14 lie outside the densities a run may set
+        s, model = observed_for(REFERENCE_POPS[0], grid161)
+        problem = FitProblem(observed=s, model_template=model)
+        monkeypatch.setattr(fitting, "_solve", lambda *args: pytest.fail("fitted"))
+        inside = 1.2e11 if param == "n_f1" else 0.5
+        with pytest.raises(ValueError, match="outside"):
+            profile_scan(problem, param, np.array([inside, value]))
+
 
 class TestStopReason:
     def test_exact_data_stop_on_step(self, grid161):

@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mdsr import bloch, spectrum
 from mdsr.bloch import LaserField, lambda_coherence_analytic, weak_probe_coherences
 from mdsr.config import RunConfig
+from mdsr.fitting import FitProblem, fit_populations
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.spectrum import (
+    ExperimentModel,
     PopulationDistribution,
     Spectrum,
     add_noise,
@@ -96,6 +99,81 @@ class TestExperimentModel:
         coupling = LaserField(0, 78.0, 0.0, (Manifold.G1, Manifold.E2))
         with pytest.raises(ValueError, match="coupling must not drive"):
             replace(reference_model, coupling=coupling)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends to the returned list."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _same_spectra(model, fresh, grid):
+    pops = PopulationDistribution(*REFERENCE_POPS[0])
+    return (np.array_equal(susceptibility_grid(model, pops, grid),
+                           susceptibility_grid(fresh, pops, grid))
+            and np.array_equal(optical_depth_basis(model, grid), optical_depth_basis(fresh, grid)))
+
+
+def _fresh(model):
+    """A model built from the same field values with nothing carried over."""
+    return ExperimentModel(model.scheme, model.coupling, model.probe, model.decay,
+                           model.n_f1, model.path_length_mm)
+
+
+class TestDerivedResolvents:
+    """The probe resolvents depend on (scheme, coupling, probe, decay) alone, so
+    a model `replace` makes keeps them unless one of those four changes."""
+
+    @pytest.mark.parametrize("changes", [{"n_f1": 3e12}, {"path_length_mm": 7.5},
+                                         {"n_f1": 5e10, "path_length_mm": 1.0}],
+                             ids=["density", "path", "both"])
+    def test_density_and_path_length_derive_nothing(self, reference_model, grid161,
+                                                    monkeypatch, changes):
+        calls = _count_calls(monkeypatch, spectrum, "probe_resolvents")
+        model = replace(reference_model, **changes)
+        assert calls == []
+        fresh = _fresh(model)
+        assert len(calls) == 1
+        assert _same_spectra(model, fresh, grid161)
+
+    @pytest.mark.parametrize("change", [
+        lambda m: {"scheme": build_level_scheme(0.6)},
+        lambda m: {"scheme": replace(m.scheme, couplings={
+            key: -value for key, value in m.scheme.couplings.items()})},
+        lambda m: {"coupling": replace(m.coupling, rabi_scale=40.0)},
+        lambda m: {"decay": replace(m.decay, gamma_ab=0.5)},
+        lambda m: {"probe": replace(m.probe, rabi_scale=0.1)},
+    ], ids=["b-field", "flipped-couplings", "coupling", "decay", "probe"])
+    def test_any_other_input_derives_afresh(self, reference_model, grid161, monkeypatch,
+                                            change):
+        changes = change(reference_model)
+        calls = _count_calls(monkeypatch, spectrum, "probe_resolvents")
+        model = replace(reference_model, **changes)
+        assert len(calls) == 1
+        assert _same_spectra(model, _fresh(model), grid161)
+
+    def test_fit_builds_no_hamiltonian(self, grid161, monkeypatch):
+        model = make_model()
+        observed = add_noise(synth_spectrum(model, PopulationDistribution(*REFERENCE_POPS[1]),
+                                            grid161), 0.01, seed=3)
+        calls = _count_calls(monkeypatch, bloch, "build_hamiltonian")
+        for fit_density in (True, False):
+            fit_populations(FitProblem(observed, model, fit_density=fit_density))
+        assert calls == []
+
+    def test_repr_and_equality_ignore_the_derived_terms(self, reference_model):
+        fresh = _fresh(reference_model)
+        assert fresh._derived[1] is not reference_model._derived[1]
+        assert fresh == reference_model
+        assert "_derived" not in repr(reference_model)
+        assert repr(fresh) == repr(reference_model)
 
 
 class TestSusceptibility:
