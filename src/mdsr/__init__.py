@@ -40,7 +40,6 @@ from .spectrum import (
     add_noise,
     susceptibility_grid,
     synth_spectrum,
-    transmission,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 from .angular import wigner3j, wigner6j
 
@@ -117,12 +118,14 @@ class LevelScheme:
     """Immutable sublevel basis with Zeeman shifts and dipole couplings."""
 
     sublevels: tuple
-    zeeman: dict          # Sublevel -> MHz
-    couplings: dict       # (lower, upper, q) -> relative amplitude (nonzero entries only)
+    zeeman: Mapping       # Sublevel -> MHz
+    couplings: Mapping    # (lower, upper, q) -> relative amplitude (nonzero entries only)
     reduced_dipole: ClassVar[float] = REDUCED_DIPOLE_CM  # C*m, the same for every scheme
 
     def __post_init__(self):
-        # sublevel -> position, derived rather than a field
+        # read-only copies of the tables; sublevel -> position, derived rather than a field
+        for name in ("zeeman", "couplings"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(self, "_positions", {s: i for i, s in enumerate(self.sublevels)})
 
     @property

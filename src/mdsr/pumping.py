@@ -149,8 +149,6 @@ def pump_rate_matrix(scheme: LevelScheme, pump: PumpConfig,
         (coupling.q, coupling.transition, _coupling_saturation(coupling.rabi_scale)),
     ]
     for q, transition, sat in beams:
-        if sat <= 0:
-            continue
         factor = 0.5 * gamma * sat / (1.0 + sat)
         for i, j, amp in scheme.driven(q, transition):
             r = factor * amp * amp

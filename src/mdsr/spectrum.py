@@ -159,18 +159,11 @@ def optical_depth_basis(model: ExperimentModel, grid) -> np.ndarray:
     return optical_depth(_terms(model, np.ones(3), grid), model)
 
 
-def transmission(chi: np.ndarray | complex, model: ExperimentModel) -> np.ndarray | float:
-    """Beer-Lambert readout T = exp(-k L Im chi), elementwise: an array of
-    susceptibilities gives an array of transmissions of the same shape."""
-    return np.exp(-optical_depth(chi, model))
-
-
 def synth_spectrum(model: ExperimentModel, pops: PopulationDistribution,
                    grid) -> Spectrum:
     """Clean transmission spectrum on a strictly increasing detuning grid."""
     grid = np.asarray(grid, dtype=float)
-    chi = susceptibility_grid(model, pops, grid)
-    return Spectrum(grid, np.asarray(transmission(chi, model)))
+    return Spectrum(grid, np.exp(-optical_depth(susceptibility_grid(model, pops, grid), model)))
 
 
 def add_noise(s: Spectrum, sigma: float, seed: int) -> Spectrum:

@@ -44,6 +44,7 @@ class TestWigner3j:
         assert wigner3j(1, 1, 1, 1, 0, 0) == 0.0  # m-sum != 0
         assert wigner3j(1, 1, 3, 0, 0, 0) == 0.0  # triangle violated
         assert wigner3j(1, 1, 0, 1, -1, 1) == 0.0  # |m3| > j3 -> 0
+        assert wigner3j(-1, 1, 1, 0, 0, 0) == 0.0  # negative j -> 0
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
@@ -101,6 +102,7 @@ class TestWigner6j:
     def test_triangle_violation_is_zero(self):
         assert wigner6j(1, 1, 3, 1, 1, 1) == 0.0
         assert wigner6j(0.5, 0.5, 0.5, 0.5, 0.5, 0.5) == 0.0  # half-integral triads
+        assert wigner6j(-1, 1, 1, 1, 1, 1) == 0.0  # negative j -> 0
 
     def test_unitarity_sum_rule(self):
         # sum_x (2x+1)(2p+1) {1 1 x; 1 1 p}^2 = 1

@@ -4,6 +4,7 @@ import pytest
 
 from mdsr.levels import (
     REDUCED_DIPOLE_CM,
+    LevelScheme,
     Manifold,
     Sublevel,
     build_level_scheme,
@@ -156,3 +157,22 @@ class TestLevelScheme:
         scheme = build_level_scheme(0.15)
         with pytest.raises(AttributeError):
             scheme.zeeman = {}
+
+    def test_tables_reject_item_assignment(self):
+        full = build_level_scheme(0.15)
+        probe_lines = full.manifold_levels(Manifold.G1) + full.manifold_levels(Manifold.E2)
+        for scheme in (full, restrict_scheme(full, probe_lines)):
+            level, key = scheme.sublevels[0], next(iter(scheme.couplings))
+            with pytest.raises(TypeError):
+                scheme.zeeman[level] = 1.0
+            with pytest.raises(TypeError):
+                scheme.couplings[key] = 1.0
+
+    def test_tables_are_copied_on_construction(self):
+        full = build_level_scheme(0.15)
+        zeeman, couplings = dict(full.zeeman), dict(full.couplings)
+        scheme = LevelScheme(full.sublevels, zeeman, couplings)
+        for level in zeeman:
+            zeeman[level] *= 3.0
+        couplings.clear()
+        assert scheme == full

@@ -19,7 +19,6 @@ from mdsr.spectrum import (
     susceptibility_grid,
     susceptibility_prefactor,
     synth_spectrum,
-    transmission,
 )
 
 from conftest import REFERENCE_POPS, make_model
@@ -352,7 +351,7 @@ class TestTransmission:
 
     def test_rejects_negative_im_chi(self, reference_model):
         with pytest.raises(ValueError):
-            transmission(-1e-6j + 1.0, reference_model)
+            optical_depth(-1e-6j + 1.0, reference_model)
 
     def test_empty_grid_gives_empty_results(self, reference_model):
         assert optical_depth_basis(reference_model, []).shape == (0, 3)
