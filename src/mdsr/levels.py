@@ -20,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import ClassVar, Mapping
 
@@ -153,10 +154,15 @@ class LevelScheme:
     def manifold_levels(self, manifold: Manifold):
         return [s for s in self.sublevels if s.manifold is manifold]
 
-    def decay_channels(self):
+    def decay_channels(self) -> tuple:
         """Spontaneous-decay branching as (excited index, ground index, fraction),
         the fractions of each excited sublevel being its squared dipole
-        amplitudes normalized over every dipole-allowed channel."""
+        amplitudes normalized over every dipole-allowed channel.  Derived on
+        the first call; later calls return the same tuple."""
+        return self._decay_channels
+
+    @cached_property
+    def _decay_channels(self) -> tuple:
         pos = self._positions
         strength = {}
         for (lo, up, _q), amp in self.couplings.items():
@@ -165,7 +171,7 @@ class LevelScheme:
         for up, lst in strength.items():
             total = sum(w for _, w in lst)
             channels.extend((pos[up], pos[lo], w / total) for lo, w in lst)
-        return channels
+        return tuple(channels)
 
 
 def build_level_scheme(b_gauss: float = 0.0, include_e1: bool = False) -> LevelScheme:

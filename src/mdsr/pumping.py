@@ -5,6 +5,8 @@ beam recycles G2 -> E2.  Excitation rates use per-beam saturation
 s = I/I_sat scaled by the squared relative dipole amplitude; spontaneous
 decay branches by squared amplitudes.  Coherences are ignored: the two
 beams act on disjoint transitions and only populations are needed.
+Populations are propagated by expm(R t), a Taylor polynomial of matrix
+products (`expm`) whose columns sum to 1 to rounding at any duration.
 
 Rates are in 1/ms.  The pump duration is an *effective* interaction
 time: with a top-hat beam the stated experimental powers would all fully
@@ -31,29 +33,29 @@ DEFAULT_PUMP_DURATION_MS = 2.0e-4
 DEFAULT_BEAM_DIAMETER_MM = 2.0
 # no beam is focused below its wavelength; far below it the top-hat area underflows to 0
 MIN_BEAM_DIAMETER_MM = D1_WAVELENGTH_NM * 1e-6
-# the longest duration whose propagator expm(R t) conserves probability to
-# within half of validate's 1e-9 bound: 4.7e-10 over q = -1, 0, +1, 0-20 mW
-# and B up to 1 G; the drift grows with t (3.7e-9 at 1e4 ms)
+# the longest duration accepted, and the longest that the tests and validate
+# check; conservation does not bound it, as the columns of the propagator
+# expm(R t) sum to 1 within 1e-14 out to 1e16 ms
 MAX_PUMP_DURATION_MS = 1e3
 MAX_POWER_MW = 20.0  # design_pump's power cap; s/(1+s) = 0.998 there for a 2 mm beam
 GRID_POINTS = 33     # design_pump's uniform grid in f/f_max
-GOLDEN_STEPS = 40    # golden-section steps, shrinking two grid cells by 0.618**40
+GOLDEN_STEPS = 40    # golden-section steps, two per call; two grid cells shrink by 0.618**40
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# degree-13 Pade coefficients b_0..b_13 and the 1-norm below which the
-# approximant alone is accurate to double precision (Higham 2005)
-PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-THETA13 = 5.371920351148152
+# the degree-24 Taylor coefficients 1/k! as a 5 x 5 table, row j holding
+# k = 5j .. 5j+4: expm sums each row over (I, A, .., A^4) in one matmul and
+# runs Horner over the rows in A^5 (Paterson and Stockmeyer, SIAM J. Comput.
+# 2, 60 (1973)), 8 matrix products and no solve
+_TAYLOR_CHUNKS = np.array([[1 / math.factorial(5 * j + i) for i in range(5)] for j in range(5)])
+# the largest 1-norm theta whose degree-24 truncation error, the sum over
+# k > 24 of theta**k / k!, is at most 2**-53; design_pump's grid at the
+# default duration has 1-norm 2 Gamma t = 2.3 and is not squared
+THETA24 = 2.3324673844012387
 # matrices per expm block: the temporaries of design_pump's 99-matrix grid in
-# one piece (up to 800 kB each) are mapped in afresh on every call, those of
-# a block of 16 (at most 128 KiB for 16 x 16 matrices) are mostly reused;
-# smaller blocks cost more time per matrix
+# one piece (up to 1 MB each) would be mapped in afresh on every call; those
+# of a block of 16 are at most 160 KiB for 16 x 16 matrices, of which the
+# powers are reused from block to block and the chunk sums are mapped in
+# afresh for each full block; smaller blocks cost more time per matrix
 EXPM_BLOCK = 16
-# the approximant's four sums as rows of coefficients of (I, A^2, A^4, A^6):
-# the odd part is U = A (A^6 X1 + X2), the even part V = A^6 Y1 + Y2
-_PADE13_SUMS = np.array([(0.0, *PADE13[9::2]), (0.0, *PADE13[8::2]),    # X1, Y1
-                         PADE13[1:9:2], PADE13[0:8:2]])                # X2, Y2
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,14 @@ def pump_rate_matrix(scheme: LevelScheme, pump: PumpConfig,
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix or a stack of them (..., n, n)
-    by degree-13 Pade approximation with scaling and squaring (Higham, SIAM
-    J. Matrix Anal. Appl. 26, 1179 (2005)).
+    by the degree-24 Taylor polynomial with scaling and squaring (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)), evaluated by matrix
+    products alone.  For a rate matrix, whose columns sum to 0, every power
+    past the first keeps that, so the columns of expm(R t) sum to 1 to
+    rounding at any t.
 
     Each matrix is scaled by its own power of two, 2**-s with s >= 0 the
-    least that brings its 1-norm below THETA13, and squared back s times.
+    least that brings its 1-norm below THETA24, and squared back s times.
     A stack is evaluated EXPM_BLOCK matrices at a time, and each block is
     squared in lockstep, a matrix that needs no more squarings keeping its
     value, so a matrix gives the same bits alone as inside any stack."""
@@ -186,25 +191,24 @@ def _expm_block(a: np.ndarray) -> np.ndarray:
     top = float(col_sums.max(initial=0.0))
     if not math.isfinite(top):
         raise ValueError("expm needs a finite matrix")
-    squarings = max(math.frexp(top / THETA13)[1], 0)
+    squarings = max(math.frexp(top / THETA24)[1], 0)
     if squarings:  # scaling by 2**0 changes no bit, so it is skipped when no matrix needs one
-        s = np.maximum(np.frexp(col_sums.max(axis=-1) / THETA13)[1], 0)
+        s = np.maximum(np.frexp(col_sums.max(axis=-1) / THETA24)[1], 0)
         a = a * np.exp2(-s)[..., None, None]
-    # I and the even powers in one buffer, so the four sums are one matmul
-    powers = np.empty(a.shape[:-2] + (4, n, n))
+    # I, A, .., A^4 in one buffer, so the five chunk sums are one matmul
+    c = len(_TAYLOR_CHUNKS)
+    powers = np.empty(a.shape[:-2] + (c, n, n))
     powers[..., 0, :, :] = np.eye(n)
-    a2 = np.matmul(a, a, out=powers[..., 1, :, :])
-    a4 = np.matmul(a2, a2, out=powers[..., 2, :, :])
-    a6 = np.matmul(a4, a2, out=powers[..., 3, :, :])
-    sums = (_PADE13_SUMS @ powers.reshape(a.shape[:-2] + (4, n * n))).reshape(powers.shape)
-    # A^6 (X1, Y1) + (X2, Y2) in one matmul: (A^6 X1 + X2, V); the buffers
-    # are dropped so that the solve's temporaries do not add to them
-    odd_v = a6[..., None, :, :] @ sums[..., :2, :, :]
-    odd_v += sums[..., 2:, :, :]
-    del powers, sums, a2, a4, a6
-    odd, v = np.moveaxis(odd_v, -3, 0)
-    u = a @ odd
-    r = np.linalg.solve(v - u, v + u)
+    powers[..., 1, :, :] = a
+    for k in range(2, c):
+        np.matmul(powers[..., k - 1, :, :], a, out=powers[..., k, :, :])
+    a_c = powers[..., -1, :, :] @ a
+    chunks = (_TAYLOR_CHUNKS @ powers.reshape(a.shape[:-2] + (c, n * n))).reshape(powers.shape)
+    # Horner in A^5 over the chunk sums, the highest first
+    r = chunks[..., -1, :, :]
+    for j in range(c - 2, -1, -1):
+        r = r @ a_c
+        r += chunks[..., j, :, :]
     for k in range(squarings):
         r = np.where((s > k)[..., None, None], r @ r, r)
     return r
@@ -213,7 +217,7 @@ def _expm_block(a: np.ndarray) -> np.ndarray:
 def _propagate(rates: np.ndarray, pops0: np.ndarray, t_ms: float) -> np.ndarray:
     """expm(R t) p0 for a rate matrix or a stack of them (..., n, n), clipped
     at 0 and renormalized: the one propagator of this module.  It runs on
-    the numpy Pade-13 expm above, so pumping needs no scipy."""
+    the numpy Taylor expm above, so pumping needs no scipy."""
     p = np.maximum(expm(rates * t_ms) @ pops0, 0.0)
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -245,7 +249,9 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     over u = f/f_max in [0, 1]: a uniform grid, then golden-section
     refinement on the best grid point's neighbouring cells.
     The three polarizations are one array axis of the search, so the grid is
-    one batched matrix exponential and each golden-section step is another.
+    one batched matrix exponential, and each batched call after the first
+    golden-section pair scores two steps: the step's own probe and the
+    probes the next step would make on either side of it.
     The power reported for u is f/(1-f) per unit saturation, written without
     cancellation as MAX_POWER_MW * u / (1 + s_max (1 - u)), so u = 0 is 0 mW
     and u = 1 is exactly the cap.  The chosen plan's prediction is
@@ -277,16 +283,33 @@ def design_pump(target: np.ndarray, scheme: LevelScheme, coupling: LaserField,
     step = GOLDEN * (hi - lo)
     ua, ub = hi - step, lo + step
     da, db = score(np.stack([ua, ub], axis=1)).T
-    for _ in range(GOLDEN_STEPS):
-        # left: keep [lo, ub], a becomes b and a new a is probed;
-        # otherwise keep [ua, hi], b becomes a and a new b is probed
-        left = da <= db
+
+    def narrow(left, lo, hi, ua, ub):
+        """The interval a step keeps, [lo, ub] where left and [ua, hi]
+        elsewhere, and the new inner point it probes there."""
         hi, lo = np.where(left, ub, hi), np.where(left, lo, ua)
         step = GOLDEN * (hi - lo)
-        new_u = np.where(left, hi - step, lo + step)
-        new_d = score(new_u[:, None])[:, 0]
-        ua, ub = np.where(left, new_u, ub), np.where(left, ua, new_u)
-        da, db = np.where(left, new_d, db), np.where(left, da, new_d)
+        return lo, hi, np.where(left, hi - step, lo + step)
+
+    def keep(left, new, a, b):
+        """The inner pair after a step: where left, a becomes b and new is
+        the new a; elsewhere b becomes a and new is the new b."""
+        return np.where(left, new, b), np.where(left, a, new)
+
+    for _ in range(GOLDEN_STEPS // 2):
+        # two steps per batched call: the next step probes one of two points,
+        # as it keeps the left or the right part, so both are scored with
+        # this step's probe
+        left = da <= db
+        lo, hi, new_u = narrow(left, lo, hi, ua, ub)
+        ua, ub = keep(left, new_u, ua, ub)
+        next_u = [narrow(side, lo, hi, ua, ub)[2] for side in (True, False)]
+        new_d, d_left, d_right = score(np.stack([new_u, *next_u], axis=1)).T
+        da, db = keep(left, new_d, da, db)
+        left = da <= db
+        lo, hi, new_u = narrow(left, lo, hi, ua, ub)
+        ua, ub = keep(left, new_u, ua, ub)
+        da, db = keep(left, np.where(left, d_left, d_right), da, db)
 
     # per polarization the better of the grid point and the refined pair;
     # argmin keeps the first of equal distances, here and across polarizations

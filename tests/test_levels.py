@@ -176,3 +176,16 @@ class TestLevelScheme:
             zeeman[level] *= 3.0
         couplings.clear()
         assert scheme == full
+
+    def test_decay_channels_derived_once(self):
+        scheme = build_level_scheme(0.15, include_e1=True)
+        channels = scheme.decay_channels()
+        assert isinstance(channels, tuple)
+        assert scheme.decay_channels() is channels
+        # each excited sublevel's branching fractions sum to 1
+        totals = {}
+        for e, _g, frac in channels:
+            totals[e] = totals.get(e, 0.0) + frac
+        assert len(totals) == len(scheme.manifold_levels(Manifold.E1)) + len(
+            scheme.manifold_levels(Manifold.E2))
+        assert all(t == pytest.approx(1.0, abs=1e-15) for t in totals.values())

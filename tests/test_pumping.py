@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mdsr import pumping
 from mdsr.bloch import LaserField
 from mdsr.levels import Manifold, Sublevel, build_level_scheme
 from mdsr.pumping import (
@@ -14,7 +15,7 @@ from mdsr.pumping import (
     MHZ_TO_PER_MS,
     MIN_BEAM_DIAMETER_MM,
     NATURAL_LINEWIDTH_MHZ,
-    THETA13,
+    THETA24,
     PopulationState,
     PumpConfig,
     _coupling_saturation,
@@ -211,6 +212,18 @@ class TestRateMatrix:
                            duration_ms=MAX_PUMP_DURATION_MS)
         assert np.isfinite(plan.predicted).all()
 
+    def test_propagator_columns_sum_to_one_at_duration_bound(self):
+        # bound fixed at 1e-12 before the Taylor propagator was tuned: every
+        # power past the first keeps the rate matrix's zero column sums, so
+        # the drift is rounding, not growing with t (4.7e-10 under Pade-13)
+        powers = np.linspace(0.0, MAX_POWER_MW, 21)
+        for b in (0.0, 0.15, 1.0):
+            scheme = build_level_scheme(b, include_e1=True)
+            rates = np.array([[pump_rate_matrix(scheme, PumpConfig(q, p), COUPLING)
+                               for p in powers] for q in (-1, 0, 1)])
+            sums = expm(rates * MAX_PUMP_DURATION_MS).sum(axis=-2)
+            assert np.abs(sums - 1.0).max() <= 1e-12, b
+
 
 class TestDarkStateLimits:
     @pytest.mark.parametrize("q,idx", [(-1, 0), (0, 1), (1, 2)])
@@ -264,6 +277,21 @@ class TestDesignPump:
         plan = design_pump(np.full(3, 1 / 3), scheme16, COUPLING, duration_ms=0.05)
         assert plan.target_distance < 1e-6
         assert plan.power_mw < 1e-3
+
+    def test_two_golden_steps_per_expm_call(self, scheme16, monkeypatch):
+        # the grid, the first golden-section pair, 20 calls of two steps each
+        # and the final evolve_populations
+        calls = []
+        real = pumping.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(pumping, "expm", counted)
+        design_pump(np.array([0.8, 0.1, 0.1]), scheme16, COUPLING)
+        assert len(calls) == 23
+        assert calls[:3] == [(3, 33, 16, 16), (3, 2, 16, 16), (3, 3, 16, 16)]
 
     def test_rejects_off_simplex_target(self, scheme16):
         with pytest.raises(ValueError):
@@ -329,12 +357,24 @@ class TestExpm:
         ours, theirs = expm(stack) @ p0, scipy_linalg.expm(stack) @ p0
         assert np.abs(ours - theirs).max() <= 1e-11
 
+    def test_theta_is_the_largest_norm_its_truncation_rule_allows(self):
+        # the degree-24 Taylor remainder at 1-norm theta is bounded by the
+        # sum over k > 24 of theta**k / k!, which THETA24 keeps within 2**-53
+        def tail(theta):
+            return math.fsum(theta**k / math.factorial(k) for k in range(25, 100))
+
+        assert tail(THETA24) <= 2.0**-53
+        assert tail(THETA24 * (1 + 1e-6)) > 2.0**-53
+        # so the default design grid, whose 1-norm is 2 Gamma t, is not squared
+        assert np.abs(design_stack(build_level_scheme(0.15, include_e1=True),
+                                   DEFAULT_PUMP_DURATION_MS)).sum(axis=-2).max() < THETA24
+
     def test_mixed_scaling_stack_matches_single_matrices(self, scheme16):
-        # one matrix per duration: 2**-s scalings s = 0, 2, 7, 12 and 15 in one
+        # one matrix per duration: 2**-s scalings s = 0, 3, 8, 13 and 16 in one
         # stack, so finished matrices sit out later squarings
         stack = np.array([design_stack(scheme16, t)[40] for t in DESIGN_DURATIONS_MS])
-        scales = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / THETA13)[1]
-        assert np.maximum(scales, 0).tolist() == [0, 2, 7, 12, 15]
+        scales = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1) / THETA24)[1]
+        assert np.maximum(scales, 0).tolist() == [0, 3, 8, 13, 16]
         together = expm(stack)
         for matrix, alone in zip(stack, together):
             assert np.array_equal(expm(matrix), alone)
